@@ -4,7 +4,7 @@ Every circuit here is exhaustively checked against plain integer arithmetic;
 the last section runs modular exponentiation on a superposed exponent to
 show the same gates acting in parallel across all inputs.
 
-Run with:  python3 demos/04_modular_arithmetic.py  (takes ~1 minute)
+Run with:  python3 demos/04_modular_arithmetic.py  (takes ~1 s)
 """
 
 from gdict import H, apply_circuit, apply_gate, gate_count, new_state

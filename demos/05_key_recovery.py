@@ -7,7 +7,7 @@ valid exponent, and the search stage finds it with amplitude amplification.
 Circuit mode runs the whole thing, modular exponentiation included, on 22
 qubits; precomputed mode marks winners classically and scales further.
 
-Run with:  python3 demos/05_key_recovery.py  (circuit mode takes ~15 s)
+Run with:  python3 demos/05_key_recovery.py  (circuit mode takes ~1 s)
 """
 
 from gdict import (

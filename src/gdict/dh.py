@@ -24,7 +24,7 @@ import numpy as np
 
 from .dictionary import Database, build_dictionary, pad_database
 from .errors import NoWinnerError, UnsupportedModulusError
-from .grover import GroverPlan, diffuser, optimal_rounds
+from .grover import GroverPlan, diffuser, optimal_rounds, residual_tolerance
 from .modarith import is_supported_modulus, modexp_layout, _modexp_gates
 from .sim import (
     Circuit,
@@ -279,7 +279,8 @@ def run_attack(
 
     The recovered secret is the candidate at the most probable index; the
     result also reports how cleanly the workspaces returned to their initial
-    values (anything above ~1e-9 would indicate a broken uncomputation).
+    values, and a residual above ``residual_tolerance`` (a broken
+    uncomputation) raises RuntimeError, as in ``run_search``.
     """
     padded = pad_database(candidates.database)
     winners = attack_winners(params, target_public, padded)
@@ -300,6 +301,8 @@ def run_attack(
             continue
         dist = marginal_distribution(state, reg)
         residual = max(residual, 1.0 - dist.get(want, 0.0))
+    if residual > residual_tolerance(state.amplitudes.dtype):
+        raise RuntimeError(f"workspaces failed to uncompute (residual {residual:.3e})")
 
     distribution = marginal_distribution(state, circuit.registers["index"])
     top_index = max(distribution, key=lambda v: (distribution[v], -v))

@@ -185,6 +185,11 @@ class SearchResult:
     circuit: Circuit
 
 
+def residual_tolerance(dtype) -> float:
+    """Largest workspace residual a correct uncomputation leaves at ``dtype``."""
+    return 1e-9 if np.dtype(dtype) == np.complex128 else 1e-4
+
+
 def clause_winners(database: Database, clause: Clause) -> list[int]:
     """Indices of (padded) records satisfying the clause."""
     return [i for i, r in enumerate(database.records) if clause.matches(int(r, 2))]
@@ -262,8 +267,7 @@ def run_search(
 
     data_dist = marginal_distribution(state, data_reg)
     residual = 1.0 - data_dist[0]
-    tol = 1e-9 if state.amplitudes.dtype == np.complex128 else 1e-4
-    if residual > tol:
+    if residual > residual_tolerance(state.amplitudes.dtype):
         raise RuntimeError(f"data register failed to disentangle (residual {residual:.3e})")
 
     distribution = marginal_distribution(state, index_reg)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gdict.dh as dh
+from gdict.cli import main
 from gdict.dh import (
     CIRCUIT_ORACLE,
     PRECOMPUTED_ORACLE,
@@ -16,6 +18,7 @@ from gdict.dh import (
 )
 from gdict.errors import NoWinnerError, UnsupportedModulusError
 from gdict.grover import success_probability
+from gdict.sim import X
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +171,23 @@ class TestAttack:
         cands = generate_candidates(params, target, 4, seed=1)
         result = run_attack(params, target, cands, PRECOMPUTED_ORACLE, rounds=0)
         assert all(p == pytest.approx(0.25, abs=1e-12) for p in result.distribution.values())
+
+    def test_broken_uncomputation_raises(self, params, monkeypatch, capsys):
+        # A workspace qubit left flipped must fail the attack, not report a key.
+        build = dh.build_attack_circuit
+
+        def leave_x_flipped(*args, **kwargs):
+            circuit = build(*args, **kwargs)
+            return circuit.add(X(circuit.registers["x"].qubits[0]))
+
+        monkeypatch.setattr(dh, "build_attack_circuit", leave_x_flipped)
+        target = public_value(params, 4)
+        cands = generate_candidates(params, target, 4, seed=1)
+        with pytest.raises(RuntimeError, match="uncompute"):
+            run_attack(params, target, cands, CIRCUIT_ORACLE)
+        assert main(["dh-attack", "--p", "7", "--g", "3", "--secret", "4",
+                     "--count", "4", "--seed", "1", "--mode", "circuit"]) == 2
+        assert "failed to uncompute" in capsys.readouterr().err
 
     def test_single_precision_circuit_mode(self, params):
         target = public_value(params, 5)

@@ -214,12 +214,41 @@ def test_mcz_equals_diagonal_matrix():
     assert np.array_equal(diag, [1, 1, 1, 1, 1, -1, 1, 1])
 
 
+def _without_h(rng: np.random.Generator, num_qubits: int, num_gates: int) -> list[Gate]:
+    return [g for g in random_circuit(rng, num_qubits, num_gates).gates if g.kind != "H"]
+
+
 def test_determinism_and_kernel_parity():
     rng = np.random.default_rng(11)
     c = random_circuit(rng, 8, 120)
     s1 = apply_circuit(new_state(8, 3), c)
     s2 = apply_circuit(new_state(8, 3), c)
     assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+    # apply_circuit runs on the nonzero support until it outgrows its limit,
+    # then on the dense kernels; either way it must match a per-gate
+    # apply_gate loop bit for bit.  Each H at most doubles the support, so
+    # with log2(limit) H gates the support path runs the whole circuit, and
+    # one H more on fresh qubits of a basis state forces the switch.
+    q = 10
+    limit = int((1 << q) * sim.SUPPORT_MAX_SHARE)
+    h_max = limit.bit_length() - 1
+    assert h_max >= 2
+    for dtype in (np.complex128, np.complex64):
+        for trial in range(16):
+            gates = _without_h(rng, q, 60)
+            if trial % 2 == 0:  # support stays within the limit
+                for qb in rng.integers(0, q, size=h_max):
+                    gates.insert(int(rng.integers(0, len(gates) + 1)), H(int(qb)))
+            else:  # support crosses the limit mid-circuit
+                fresh = rng.permutation(q)[: h_max + 1]
+                gates += [H(int(qb)) for qb in fresh] + random_circuit(rng, q, 60).gates
+            basis = int(rng.integers(0, 1 << q))
+            ref = new_state(q, basis, dtype=dtype)
+            for g in gates:
+                apply_gate(ref, g)
+            got = apply_circuit(new_state(q, basis, dtype=dtype), Circuit(q, gates))
+            assert np.array_equal(got.amplitudes, ref.amplitudes)
 
     if sim.HAVE_NUMBA:
         sim.USE_NUMBA = False
