@@ -44,7 +44,6 @@ from .dictionary import (
     DictionaryCircuit,
     build_dictionary,
     column_truth_table,
-    dictionary_inverse,
     load_database,
     pad_database,
     parse_database,

@@ -24,18 +24,16 @@ import numpy as np
 
 from .dictionary import Database, build_dictionary, pad_database
 from .errors import NoWinnerError, UnsupportedModulusError
-from .grover import GroverPlan, diffuser, optimal_rounds, residual_tolerance
+from .grover import GroverPlan, amplify, plan_rounds, workspace_residual
 from .modarith import is_supported_modulus, modexp_layout, _modexp_gates
 from .sim import (
     Circuit,
     Gate,
-    H,
     MCZ,
     Register,
     X,
     apply_circuit,
     gate_count,
-    inverse,
     marginal_distribution,
     new_state,
 )
@@ -171,6 +169,17 @@ def _exact_match_mcz(register: Register, value: int) -> Gate:
     return MCZ(controls)
 
 
+def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet,
+                 rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
+    # Padded candidates, winner indices, plan and rounds to execute.
+    padded = pad_database(candidates.database)
+    winners = attack_winners(params, target_public, padded)
+    if not winners:
+        raise NoWinnerError("no candidate exponent produces the target public value")
+    plan, executed = plan_rounds(1 << padded.m, len(winners), rounds)
+    return padded, winners, plan, executed
+
+
 def build_attack_circuit(
     params: DHParams,
     target_public: int,
@@ -181,8 +190,9 @@ def build_attack_circuit(
     """Assemble the full key-recovery circuit, initialization included.
 
     Every iteration maps indices to exponents, marks the ones whose public
-    value matches, unmaps, and diffuses the index register.  In circuit mode
-    the marking runs modular exponentiation forward, phases on the output
+    value matches, unmaps, and diffuses the index register, as
+    ``grover.amplify`` does for a database search.  In circuit mode the
+    marking runs modular exponentiation forward, phases on the output
     workspace, and uncomputes; in precomputed mode it phases the exponent
     register directly on the classically known winners.
     """
@@ -190,15 +200,7 @@ def build_attack_circuit(
         raise ValueError(f"unknown attack mode {mode!r}")
     if not 1 <= target_public < params.p:
         raise ValueError(f"target {target_public} is not in the group")
-    padded = pad_database(candidates.database)
-    winners = attack_winners(params, target_public, padded)
-    if not winners:
-        raise NoWinnerError("no candidate exponent produces the target public value")
-
-    plan = optimal_rounds(1 << padded.m, len(winners))
-    executed = plan.rounds if rounds is None else rounds
-    if executed < 0:
-        raise ValueError("round count must be >= 0")
+    padded, winners, _, executed = _plan_attack(params, target_public, candidates, rounds)
 
     dictionary = build_dictionary(padded)
     m, n = padded.m, padded.n
@@ -210,15 +212,8 @@ def build_attack_circuit(
         circuit.add_register(index_reg)
         circuit.add_register(x_reg)
         winner_values = sorted({int(padded.records[i], 2) for i in winners})
-        oracle = [_exact_match_mcz(x_reg, v) for v in winner_values]
-        iteration: list[Gate] = []
-        iteration += dictionary.circuit.gates
-        iteration += oracle
-        iteration += inverse(dictionary.circuit).gates
-        iteration += diffuser(index_reg).gates
-        circuit.extend(H(q) for q in index_reg.qubits)
-        for _ in range(executed):
-            circuit.extend(iteration)
+        mark = [_exact_match_mcz(x_reg, v) for v in winner_values]
+        amplify(circuit, index_reg, dictionary.circuit, mark, executed)
         return circuit
 
     layout = modexp_layout(params.p, n, base=m)
@@ -233,19 +228,9 @@ def build_attack_circuit(
     circuit.add_register(layout.inner.m)
     circuit.add_register(Register("mctrl", (layout.inner.ctrl,)))
 
-    oracle_gate = _exact_match_mcz(layout.a, target_public)
-    iteration = []
-    iteration += dictionary.circuit.gates
-    iteration += exp_gates
-    iteration.append(oracle_gate)
-    iteration += [g for g in reversed(exp_gates)]
-    iteration += inverse(dictionary.circuit).gates
-    iteration += diffuser(index_reg).gates
-
+    mark = exp_gates + [_exact_match_mcz(layout.a, target_public)] + exp_gates[::-1]
     circuit.add(X(layout.a.qubits[0]))  # workspace A enters |1>
-    circuit.extend(H(q) for q in index_reg.qubits)
-    for _ in range(executed):
-        circuit.extend(iteration)
+    amplify(circuit, index_reg, dictionary.circuit, mark, executed)
     return circuit
 
 
@@ -279,30 +264,21 @@ def run_attack(
 
     The recovered secret is the candidate at the most probable index; the
     result also reports how cleanly the workspaces returned to their initial
-    values, and a residual above ``residual_tolerance`` (a broken
-    uncomputation) raises RuntimeError, as in ``run_search``.
+    values, and a residual above ``grover.workspace_residual``'s tolerance
+    (a broken uncomputation) raises RuntimeError, as in ``run_search``.
     """
-    padded = pad_database(candidates.database)
-    winners = attack_winners(params, target_public, padded)
-    if not winners:
-        raise NoWinnerError("no candidate exponent produces the target public value")
-    plan = optimal_rounds(1 << padded.m, len(winners))
-    executed = plan.rounds if rounds is None else rounds
+    padded, winners, plan, executed = _plan_attack(params, target_public, candidates, rounds)
 
     circuit = build_attack_circuit(params, target_public, candidates, mode, rounds)
     state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, circuit)
 
-    expected_workspaces = {"x": 0, "B": 0, "t": 0, "c": 0, "m": 0, "mctrl": 0, "A": 1}
-    residual = 0.0
-    for name, want in expected_workspaces.items():
-        reg = circuit.registers.get(name)
-        if reg is None:  # precomputed mode has no arithmetic workspaces
-            continue
-        dist = marginal_distribution(state, reg)
-        residual = max(residual, 1.0 - dist.get(want, 0.0))
-    if residual > residual_tolerance(state.amplitudes.dtype):
-        raise RuntimeError(f"workspaces failed to uncompute (residual {residual:.3e})")
+    # Precomputed mode has only the "x" workspace of these.
+    workspaces = {"x": 0, "B": 0, "t": 0, "c": 0, "m": 0, "mctrl": 0, "A": 1}
+    residual = workspace_residual(
+        [(marginal_distribution(state, circuit.registers[name]), want)
+         for name, want in workspaces.items() if name in circuit.registers],
+        state.amplitudes.dtype, "workspaces failed to uncompute")
 
     distribution = marginal_distribution(state, circuit.registers["index"])
     top_index = max(distribution, key=lambda v: (distribution[v], -v))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .logic import Cover, TruthTable, cover_to_gates, minimize
-from .sim import Circuit, Register, inverse
+from .sim import Circuit, Register
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class Database:
     @property
     def is_padded(self) -> bool:
         return len(self.records) == 1 << self.m
-
-    def record_value(self, i: int) -> int:
-        return int(self.records[i], 2)
 
 
 def parse_database(text: str) -> Database:
@@ -154,8 +151,3 @@ def build_dictionary(database: Database) -> DictionaryCircuit:
         target = m + n - 1 - column
         circuit.extend(cover_to_gates(cover, idx, target))
     return DictionaryCircuit(circuit, database, tuple(covers))
-
-
-def dictionary_inverse(d: DictionaryCircuit) -> Circuit:
-    """Reversed gate list; functionally identical to the forward circuit."""
-    return inverse(d.circuit)

@@ -2,7 +2,9 @@
 
 One search iteration applies the dictionary mapping, phases the data-register
 states satisfying the clause, unmaps (disentangling the data register), and
-reflects the index register about the uniform superposition.  The winner
+reflects the index register about the uniform superposition.  ``amplify``
+assembles that loop for ``run_search`` and for the key-recovery attack in
+``gdict.dh``; only the marking differs between them.  The winner
 count is known classically (synthesis reads every record anyway), so the
 round count and success probability follow in closed form:
 
@@ -24,6 +26,7 @@ from .dictionary import Database, build_dictionary, pad_database
 from .errors import NoWinnerError
 from .sim import (
     Circuit,
+    Gate,
     H,
     MCX,
     MCZ,
@@ -117,6 +120,16 @@ def optimal_rounds(N: int, M: int) -> GroverPlan:
     return GroverPlan(N, M, theta0, rounds, success_probability(N, M, rounds))
 
 
+def plan_rounds(N: int, M: int, rounds: int | None) -> tuple[GroverPlan, int]:
+    """The optimal plan for M winners among N, and the rounds to execute:
+    ``rounds`` when given, else the plan's."""
+    plan = optimal_rounds(N, M)
+    executed = plan.rounds if rounds is None else rounds
+    if executed < 0:
+        raise ValueError("round count must be >= 0")
+    return plan, executed
+
+
 def hadamard_transform(register: Register) -> Circuit:
     """One H per register qubit; |0> becomes the uniform superposition."""
     top = max(register.qubits)
@@ -185,9 +198,45 @@ class SearchResult:
     circuit: Circuit
 
 
-def residual_tolerance(dtype) -> float:
-    """Largest workspace residual a correct uncomputation leaves at ``dtype``."""
-    return 1e-9 if np.dtype(dtype) == np.complex128 else 1e-4
+def amplify(circuit: Circuit, index: Register, dictionary: Circuit, mark: list[Gate],
+            rounds: int, prepare: tuple[Gate, ...] = ()) -> Circuit:
+    """Append H on ``index``, then ``rounds`` rounds of map, mark, unmap, diffuse.
+
+    One round is the ``dictionary`` gates, the ``mark`` gates, the reversed
+    dictionary and ``diffuser(index)``.  The self-inverse ``prepare`` gates
+    run once before the first round and, reversed, once after the last.
+    Returns one round as a circuit, empty when ``rounds`` is 0, in which
+    case only the H layer is appended.
+    """
+    circuit.extend(H(q) for q in index.qubits)
+    iteration = Circuit(circuit.num_qubits)
+    if rounds > 0:
+        iteration.extend(dictionary.gates)
+        iteration.extend(mark)
+        iteration.extend(inverse(dictionary).gates)
+        iteration.extend(diffuser(index).gates)
+        circuit.extend(prepare)
+        for _ in range(rounds):
+            circuit.extend(iteration.gates)
+        circuit.extend(reversed(prepare))
+    return iteration
+
+
+def workspace_residual(expected: list[tuple[dict[int, float], int]], dtype,
+                       failure: str) -> float:
+    """Largest 1 - p(want) over (marginal distribution, want) pairs, at least 0.0.
+
+    A correct uncomputation returns every workspace to its value; a
+    residual above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
+    otherwise) raises RuntimeError with the ``failure`` message.  The 0.0
+    floor keeps a marginal that sums to 1.0000000000000004 from reporting
+    a negative residual.
+    """
+    residual = max([0.0] + [1.0 - dist.get(want, 0.0) for dist, want in expected])
+    tolerance = 1e-9 if np.dtype(dtype) == np.complex128 else 1e-4
+    if residual > tolerance:
+        raise RuntimeError(f"{failure} (residual {residual:.3e})")
+    return residual
 
 
 def clause_winners(database: Database, clause: Clause) -> list[int]:
@@ -225,10 +274,7 @@ def run_search(
 
     m, n = padded.m, padded.n
     planned_m = len(winners) if override_winner_count is None else override_winner_count
-    plan = optimal_rounds(1 << m, planned_m)
-    executed = plan.rounds if rounds is None else rounds
-    if executed < 0:
-        raise ValueError("round count must be >= 0")
+    plan, executed = plan_rounds(1 << m, planned_m, rounds)
 
     kickback = oracle_mode == ANCILLA_KICKBACK
     num_qubits = m + n + (1 if kickback else 0)
@@ -241,34 +287,21 @@ def run_search(
     full.add_register(index_reg)
     full.add_register(data_reg)
     ancilla = None
+    prepare = ()
     if kickback:
         ancilla = m + n
         full.add_register(Register("ancilla", (ancilla,)))
+        prepare = (X(ancilla), H(ancilla))  # the kickback ancilla in |->
 
-    full.extend(H(q) for q in index_reg.qubits)
-    iteration = Circuit(num_qubits)
-    if executed > 0:
-        oracle = phase_oracle(clause, data_reg, oracle_mode, ancilla)
-        undo = inverse(dictionary.circuit)
-        diff = diffuser(index_reg)
-        iteration.extend(dictionary.circuit.gates)
-        iteration.extend(oracle.gates)
-        iteration.extend(undo.gates)
-        iteration.extend(diff.gates)
-        if kickback:
-            full.add(X(ancilla), H(ancilla))  # prepare |->
-        for _ in range(executed):
-            full.extend(iteration.gates)
-        if kickback:
-            full.add(H(ancilla), X(ancilla))  # park the ancilla back at |0>
+    # A clause that constrains no bits matches every record, plans 0 rounds
+    # and has no oracle, so the oracle is built only for rounds that run.
+    mark = phase_oracle(clause, data_reg, oracle_mode, ancilla).gates if executed else []
+    iteration = amplify(full, index_reg, dictionary.circuit, mark, executed, prepare)
 
     state = new_state(num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, full)
-
-    data_dist = marginal_distribution(state, data_reg)
-    residual = 1.0 - data_dist[0]
-    if residual > residual_tolerance(state.amplitudes.dtype):
-        raise RuntimeError(f"data register failed to disentangle (residual {residual:.3e})")
+    workspace_residual([(marginal_distribution(state, data_reg), 0)],
+                       state.amplitudes.dtype, "data register failed to disentangle")
 
     distribution = marginal_distribution(state, index_reg)
     top_index = max(distribution, key=lambda v: (distribution[v], -v))

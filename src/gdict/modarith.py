@@ -41,6 +41,7 @@ from .sim import (
     SWAP,
     X,
     apply_circuit,
+    inverse,
     new_state,
 )
 
@@ -403,12 +404,10 @@ def _expect(failures: list[str], circuit: Circuit, basis: int, expected: dict[Re
 
 def check_adder(n: int, inverse_direction: bool = False) -> CheckReport:
     """Exhaustive a + b (or subtraction via the inverse) over all n-bit pairs."""
-    from .sim import inverse as circuit_inverse
-
     layout = adder_layout(n)
     circuit = adder(n, layout)
     if inverse_direction:
-        circuit = circuit_inverse(circuit)
+        circuit = inverse(circuit)
     failures: list[str] = []
     cases = 0
     for a in range(1 << n):

@@ -4,8 +4,8 @@ A StateVector holds all 2**q amplitudes.  ``apply_circuit`` runs gates on
 the state's nonzero support, the (basis index, amplitude) pairs, while that
 support holds at most SUPPORT_MAX_SHARE of the amplitudes; past that share
 it writes the support back and runs the remaining gates on the dense
-kernels that ``apply_gate`` uses.  Both paths compute the same amplitudes
-bit for bit.
+kernels that ``apply_gate`` uses.  Both paths are plain numpy and compute
+the same amplitudes bit for bit.
 
 Conventions used throughout the package:
 
@@ -237,126 +237,13 @@ def _check_qubits(gate: Gate, num_qubits: int) -> None:
 
 
 # Dense amplitude kernels, used by ``apply_gate`` and by ``apply_circuit``
-# once the support outgrows its share.  The hot path compiles with numba
-# when available: a fixed-bit index expansion enumerates exactly the
-# amplitudes a gate touches (2**(q - fixed) of them), which keeps
-# multi-controlled gates cheap on large states.  A pure-numpy fallback
-# implements the same arithmetic on strided views; both paths write each
-# amplitude exactly once, so results are bit-identical and independent of
-# any internal scheduling.
+# once the support outgrows its share: each gate is a numpy operation on
+# strided views of the amplitude array that writes every touched amplitude
+# exactly once, so results are independent of any internal scheduling.
 
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def _njit(**kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-USE_NUMBA = HAVE_NUMBA
-
-
-@_njit(cache=True)
-def _expand(j, positions, values):
-    # Scatter the free bits of j around the fixed positions (ascending order),
-    # filling each fixed position with its required bit.
-    i = j
-    for k in range(positions.shape[0]):
-        p = positions[k]
-        low = i & ((1 << p) - 1)
-        i = ((i >> p) << (p + 1)) | (values[k] << p) | low
-    return i
-
-
-@_njit(cache=True)
-def _kern_flip(amps, positions, values, tbit, n_free):
-    # MCX / X: swap amplitude pairs where the control pattern matches.
-    for j in range(1 << n_free):
-        i0 = _expand(j, positions, values)
-        i1 = i0 | tbit
-        amps[i0], amps[i1] = amps[i1], amps[i0]
-
-
-@_njit(cache=True)
-def _kern_negate(amps, positions, values, n_free):
-    # MCZ / Z: negate amplitudes where the control pattern matches.
-    for j in range(1 << n_free):
-        i = _expand(j, positions, values)
-        amps[i] = -amps[i]
-
-
-@_njit(cache=True)
-def _kern_hadamard(amps, positions, values, tbit, n_free, scale):
-    for j in range(1 << n_free):
-        i0 = _expand(j, positions, values)
-        i1 = i0 | tbit
-        a0 = amps[i0]
-        a1 = amps[i1]
-        amps[i0] = (a0 + a1) * scale
-        amps[i1] = (a0 - a1) * scale
-
-
-@_njit(cache=True)
-def _kern_swap(amps, positions, values, abit, bbit, n_free):
-    # Fixed pattern a=0, b=1; partner index has the two bits exchanged.
-    for j in range(1 << n_free):
-        i = _expand(j, positions, values)
-        k = i ^ abit ^ bbit
-        amps[i], amps[k] = amps[k], amps[i]
-
-
-def _fixed_bits(entries) -> tuple[np.ndarray, np.ndarray]:
-    entries = sorted(entries)
-    positions = np.array([p for p, _ in entries], dtype=np.int64)
-    values = np.array([v for _, v in entries], dtype=np.int64)
-    return positions, values
-
-
-@lru_cache(maxsize=8192)
-def _gate_plan(gate: Gate):
-    # Per-gate kernel arguments; gates repeat across iterations and
-    # exhaustive sweeps, so this is worth caching.
-    kind = gate.kind
-    if kind in ("MCX", "X"):
-        fixed = [(c, 1 if pos else 0) for c, pos in gate.controls]
-        t = gate.targets[0]
-        fixed.append((t, 0))
-        positions, values = _fixed_bits(fixed)
-        return ("flip", positions, values, 1 << t)
-    if kind in ("MCZ", "Z"):
-        if kind == "Z":
-            fixed = [(gate.targets[0], 1)]
-        else:
-            fixed = [(c, 1 if pos else 0) for c, pos in gate.controls]
-        positions, values = _fixed_bits(fixed)
-        return ("negate", positions, values, 0)
-    if kind == "H":
-        t = gate.targets[0]
-        positions, values = _fixed_bits([(t, 0)])
-        return ("hadamard", positions, values, 1 << t)
-    a, b = gate.targets  # SWAP
-    positions, values = _fixed_bits([(a, 0), (b, 1)])
-    return ("swap", positions, values, (1 << a) | (1 << b))
-
-
-def _apply_gate_fast(state: StateVector, gate: Gate) -> None:
-    amps, q = state.amplitudes, state.num_qubits
-    op, positions, values, bits = _gate_plan(gate)
-    n_free = q - positions.shape[0]
-    if op == "flip":
-        _kern_flip(amps, positions, values, bits, n_free)
-    elif op == "negate":
-        _kern_negate(amps, positions, values, n_free)
-    elif op == "hadamard":
-        _kern_hadamard(amps, positions, values, bits, n_free, amps.dtype.type(2 ** -0.5))
-    else:
-        a, b = gate.targets
-        _kern_swap(amps, positions, values, 1 << a, 1 << b, n_free)
+# There are no compiled kernels; the benchmark's machine block reads this
+# name to report its kernel path as numpy.
+USE_NUMBA = False
 
 
 def _axis_view(amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -371,7 +258,9 @@ def _pattern_selector(num_qubits: int, controls) -> list:
     return sel
 
 
-def _apply_gate_numpy(state: StateVector, gate: Gate) -> None:
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate in place and return the state."""
+    _check_qubits(gate, state.num_qubits)
     amps, q = state.amplitudes, state.num_qubits
     kind = gate.kind
     if kind == "H":
@@ -411,15 +300,6 @@ def _apply_gate_numpy(state: StateVector, gate: Gate) -> None:
         view = amps.reshape((2,) * q)
         sel = _pattern_selector(q, gate.controls)
         view[tuple(sel)] *= -1
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place and return the state."""
-    _check_qubits(gate, state.num_qubits)
-    if USE_NUMBA:
-        _apply_gate_fast(state, gate)
-    else:
-        _apply_gate_numpy(state, gate)
     return state
 
 

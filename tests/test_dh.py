@@ -122,8 +122,12 @@ class TestAttack:
         assert result.recovered_secret == 4
         assert result.success_probability == pytest.approx(1.0, abs=1e-9)
         assert result.qubit_count == 22
-        assert result.workspace_residual < 1e-9
+        assert result.gate_counts == {"H": 6, "X": 13, "SWAP": 18, "MCX": 4384, "MCZ": 2}
+        assert 0.0 <= result.workspace_residual < 1e-9
         assert pow(params.g, result.recovered_secret, params.p) == target
+        fast = run_attack(params, target, cands, PRECOMPUTED_ORACLE)
+        assert fast.qubit_count == 5
+        assert fast.gate_counts == {"H": 6, "MCX": 4, "MCZ": 2}
 
     def test_modes_agree(self, params):
         target = public_value(params, 2)
@@ -131,6 +135,8 @@ class TestAttack:
         full = run_attack(params, target, cands, CIRCUIT_ORACLE)
         fast = run_attack(params, target, cands, PRECOMPUTED_ORACLE)
         assert full.recovered_secret == fast.recovered_secret
+        assert 0.0 <= full.workspace_residual < 1e-9
+        assert 0.0 <= fast.workspace_residual < 1e-9
         for i in full.distribution:
             assert abs(full.distribution[i] - fast.distribution[i]) < 1e-9
 

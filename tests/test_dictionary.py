@@ -6,12 +6,19 @@ from gdict.dictionary import (
     Database,
     build_dictionary,
     column_truth_table,
-    dictionary_inverse,
     pad_database,
     parse_database,
 )
 from gdict.errors import ParseError
-from gdict.sim import H, apply_circuit, apply_gate, gate_count, marginal_distribution, new_state
+from gdict.sim import (
+    H,
+    apply_circuit,
+    apply_gate,
+    gate_count,
+    inverse,
+    marginal_distribution,
+    new_state,
+)
 
 
 class TestDatabase:
@@ -116,12 +123,12 @@ class TestBuildDictionary:
 class TestInverseAndInvolution:
     def test_inverse_is_reversed_gates(self, reference_db):
         built = build_dictionary(reference_db)
-        inv = dictionary_inverse(built)
+        inv = inverse(built.circuit)
         assert inv.gates == list(reversed(built.circuit.gates))
 
     def test_apply_then_inverse_restores(self, reference_db):
         built = build_dictionary(reference_db)
-        inv = dictionary_inverse(built)
+        inv = inverse(built.circuit)
         for i in range(4):
             state = mapping_state(built, i)
             apply_circuit(state, inv)
@@ -146,7 +153,7 @@ class TestInverseAndInvolution:
         for q in built.index.qubits:
             apply_gate(state, H(q))
         apply_circuit(state, built.circuit)
-        apply_circuit(state, dictionary_inverse(built))
+        apply_circuit(state, inverse(built.circuit))
         data_dist = marginal_distribution(state, built.data)
         assert 1.0 - data_dist[0] < 1e-18
         index_dist = marginal_distribution(state, built.index)

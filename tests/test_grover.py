@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import gdict.grover as grover
 from conftest import random_database
+from gdict.cli import main
 from gdict.dictionary import Database, pad_database
 from gdict.errors import NoWinnerError
 from gdict.grover import (
@@ -205,6 +207,9 @@ class TestRunSearch:
         assert result.top_record == "1010110"
         assert result.executed_rounds == 1
         assert result.distribution[2] == pytest.approx(1.0, abs=1e-9)
+        assert result.circuit.num_qubits == 9
+        assert result.gate_counts == {"H": 6, "MCX": 22, "MCZ": 2}
+        assert result.iteration_gate_counts == {"H": 4, "MCX": 22, "MCZ": 2}
 
     def test_reference_masked_search(self, reference_db):
         result = run_search(reference_db, Clause.from_pattern("xxxxxx1"))
@@ -221,8 +226,12 @@ class TestRunSearch:
         assert result.winner_probability == pytest.approx(0.9453125, abs=1e-6)
 
     def test_zero_rounds_uniform(self, reference_db):
-        result = run_search(reference_db, Clause.from_pattern("1010110"), rounds=0)
-        assert all(p == pytest.approx(0.25, abs=1e-12) for p in result.distribution.values())
+        for mode in (PHASE_FLIP, ANCILLA_KICKBACK):
+            result = run_search(reference_db, Clause.from_pattern("1010110"), rounds=0,
+                                oracle_mode=mode)
+            assert all(p == pytest.approx(0.25, abs=1e-12) for p in result.distribution.values())
+            assert result.gate_counts == {"H": 2}
+            assert result.iteration_gate_counts == {}
 
     def test_all_wild_plans_zero_rounds(self, reference_db):
         result = run_search(reference_db, Clause.from_pattern("xxxxxxx"))
@@ -254,10 +263,29 @@ class TestRunSearch:
                           oracle_mode=ANCILLA_KICKBACK)
         for v in flip.distribution:
             assert abs(flip.distribution[v] - kick.distribution[v]) < 1e-9
+        assert kick.circuit.num_qubits == 10
+        assert kick.gate_counts == {"H": 8, "X": 2, "MCX": 23, "MCZ": 1}
+        assert kick.iteration_gate_counts == {"H": 4, "MCX": 23, "MCZ": 1}
 
     def test_single_precision_run(self, reference_db):
         result = run_search(reference_db, Clause.from_pattern("1010110"), dtype=np.complex64)
         assert result.distribution[2] == pytest.approx(1.0, abs=1e-5)
+
+    def test_broken_uncomputation_raises(self, reference_db, tmp_path, monkeypatch, capsys):
+        # An unmap that leaves a data qubit flipped must fail the search, not
+        # report a record.
+        unmap = grover.inverse
+
+        def leave_data_flipped(circuit):
+            return unmap(circuit).add(X(circuit.registers["data"].qubits[0]))
+
+        monkeypatch.setattr(grover, "inverse", leave_data_flipped)
+        with pytest.raises(RuntimeError, match="disentangle"):
+            run_search(reference_db, Clause.from_pattern("1010110"))
+        db_path = tmp_path / "db.txt"
+        db_path.write_text("\n".join(reference_db.records) + "\n", encoding="utf-8")
+        assert main(["grover-search", str(db_path), "1010110"]) == 2
+        assert "verification failure" in capsys.readouterr().err
 
     def test_winner_count_override_changes_plan_only(self, reference_db):
         clause = Clause.from_pattern("1010110")

@@ -250,14 +250,6 @@ def test_determinism_and_kernel_parity():
             got = apply_circuit(new_state(q, basis, dtype=dtype), Circuit(q, gates))
             assert np.array_equal(got.amplitudes, ref.amplitudes)
 
-    if sim.HAVE_NUMBA:
-        sim.USE_NUMBA = False
-        try:
-            s3 = apply_circuit(new_state(8, 3), c)
-        finally:
-            sim.USE_NUMBA = True
-        assert np.array_equal(s1.amplitudes, s3.amplitudes)
-
 
 class TestMarginal:
     def test_uniform_full_register(self):
