@@ -71,6 +71,22 @@ def _write(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_result(args, report: dict, dist: dict[int, float], lines: list[str],
+                  summary: str | None = None) -> None:
+    """Write a result in the ``--format`` asked for: the JSON report (the
+    default), the distribution as ``value,probability`` CSV rows, or the text
+    lines.  With ``--out``, the summary line (if any) also goes to stdout."""
+    if args.format == "csv":
+        text = _distribution_csv(dist)
+    elif args.format == "text":
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _dump_json(report)
+    _write(args.out, text)
+    if args.out and summary is not None:
+        print(summary)
+
+
 def _cmd_synth_dict(args) -> int:
     database = load_database(args.database)
     padded = pad_database(database)
@@ -131,24 +147,15 @@ def _cmd_grover_search(args) -> int:
         "gates": result.gate_counts,
         "iteration_gates": result.iteration_gate_counts,
     }
-    if args.format == "csv":
-        _write(args.out, _distribution_csv(result.distribution))
-    elif args.format == "text":
-        lines = [
-            f"clause {clause.to_pattern()} over {database.original_count} records",
-            f"rounds {result.executed_rounds} (planned {plan.rounds}, "
-            f"predicted success {plan.predicted_success:.6f})",
-            f"top index {result.top_index} -> record {result.top_record} "
-            f"(p = {result.distribution[result.top_index]:.6f})",
-        ]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        _write(args.out, _dump_json(report))
-    if args.out:
-        print(
-            f"top index {result.top_index} -> {result.top_record} "
-            f"(p = {result.distribution[result.top_index]:.6f})"
-        )
+    top_p = result.distribution[result.top_index]
+    lines = [
+        f"clause {clause.to_pattern()} over {database.original_count} records",
+        f"rounds {result.executed_rounds} (planned {plan.rounds}, "
+        f"predicted success {plan.predicted_success:.6f})",
+        f"top index {result.top_index} -> record {result.top_record} (p = {top_p:.6f})",
+    ]
+    summary = f"top index {result.top_index} -> {result.top_record} (p = {top_p:.6f})"
+    _write_result(args, report, result.distribution, lines, summary)
     return 0
 
 
@@ -202,12 +209,11 @@ def _cmd_dh_attack(args) -> int:
         "qubits": result.qubit_count,
         "gates": result.gate_counts,
     }
-    _write(args.out, _dump_json(report))
-    if args.out:
-        print(
-            f"recovered exponent {result.recovered_secret} "
-            f"(p = {result.success_probability:.6f}, {result.qubit_count} qubits)"
-        )
+    summary = (
+        f"recovered exponent {result.recovered_secret} "
+        f"(p = {result.success_probability:.6f}, {result.qubit_count} qubits)"
+    )
+    _write_result(args, report, result.distribution, [summary], summary)
     return 0
 
 
@@ -230,16 +236,9 @@ def _cmd_simulate(args) -> int:
     else:
         register = Register("all", tuple(range(circuit.num_qubits)))
     dist = marginal_distribution(state, register)
-    if args.format == "csv":
-        _write(args.out, _distribution_csv(dist))
-    elif args.format == "text":
-        lines = [f"{v}: {dist[v]:.9f}" for v in sorted(dist) if dist[v] != 0.0]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        _write(
-            args.out,
-            _dump_json({"register": register.name, "distribution": _distribution_json(dist)}),
-        )
+    report = {"register": register.name, "distribution": _distribution_json(dist)}
+    lines = [f"{v}: {dist[v]:.9f}" for v in sorted(dist) if dist[v] != 0.0]
+    _write_result(args, report, dist, lines)
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .dictionary import Database, build_dictionary, pad_database
 from .errors import NoWinnerError, UnsupportedModulusError
 from .grover import GroverPlan, amplify, plan_rounds, workspace_residual
-from .modarith import is_supported_modulus, modexp_layout, _modexp_gates
+from .modarith import is_supported_modulus, modexp_circuit, modexp_layout
 from .sim import (
     Circuit,
     Gate,
@@ -205,31 +205,21 @@ def build_attack_circuit(
     dictionary = build_dictionary(padded)
     m, n = padded.m, padded.n
     index_reg = Register("index", tuple(range(m)))
-    x_reg = Register("x", tuple(range(m, m + n)))
 
     if mode == PRECOMPUTED_ORACLE:
-        circuit = Circuit(m + n)
-        circuit.add_register(index_reg)
-        circuit.add_register(x_reg)
+        x_reg = Register("x", tuple(range(m, m + n)))
+        circuit = Circuit(m + n, registers={"index": index_reg, "x": x_reg})
         winner_values = sorted({int(padded.records[i], 2) for i in winners})
         mark = [_exact_match_mcz(x_reg, v) for v in winner_values]
         amplify(circuit, index_reg, dictionary.circuit, mark, executed)
         return circuit
 
-    layout = modexp_layout(params.p, n, base=m)
-    exp_gates = _modexp_gates(layout, params.g, params.p)
-    circuit = Circuit(max(layout.inner.ctrl, layout.inner.m.qubits[-1]) + 1)
-    circuit.add_register(index_reg)
-    circuit.add_register(layout.x)  # same qubits the dictionary writes
-    circuit.add_register(layout.a)
-    circuit.add_register(layout.b)
-    circuit.add_register(Register("t", layout.inner.adder.x.qubits))
-    circuit.add_register(layout.inner.adder.c)
-    circuit.add_register(layout.inner.m)
-    circuit.add_register(Register("mctrl", (layout.inner.ctrl,)))
-
-    mark = exp_gates + [_exact_match_mcz(layout.a, target_public)] + exp_gates[::-1]
-    circuit.add(X(layout.a.qubits[0]))  # workspace A enters |1>
+    # The exponent register "x" sits on the qubits the dictionary writes.
+    exp = modexp_circuit(params.g, params.p, n, modexp_layout(params.p, n, base=m))
+    circuit = Circuit(exp.num_qubits, registers={"index": index_reg, **exp.registers})
+    a_reg = exp.registers["A"]
+    mark = exp.gates + [_exact_match_mcz(a_reg, target_public)] + exp.gates[::-1]
+    circuit.add(X(a_reg.qubits[0]))  # workspace A enters |1>
     amplify(circuit, index_reg, dictionary.circuit, mark, executed)
     return circuit
 
@@ -273,11 +263,10 @@ def run_attack(
     state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, circuit)
 
-    # Precomputed mode has only the "x" workspace of these.
-    workspaces = {"x": 0, "B": 0, "t": 0, "c": 0, "m": 0, "mctrl": 0, "A": 1}
+    # Every register but the index is a workspace: A returns to 1, the rest to 0.
     residual = workspace_residual(
-        [(marginal_distribution(state, circuit.registers[name]), want)
-         for name, want in workspaces.items() if name in circuit.registers],
+        [(marginal_distribution(state, reg), int(name == "A"))
+         for name, reg in circuit.registers.items() if name != "index"],
         state.amplitudes.dtype, "workspaces failed to uncompute")
 
     distribution = marginal_distribution(state, circuit.registers["index"])

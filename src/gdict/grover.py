@@ -263,6 +263,8 @@ def run_search(
     to |0> so the diffuser acted on an unentangled index register every
     round.
     """
+    if oracle_mode not in ORACLE_MODES:
+        raise ValueError(f"unknown oracle mode {oracle_mode!r}")
     if clause.num_bits != database.n:
         raise ValueError(
             f"clause width {clause.num_bits} != record width {database.n}"

@@ -123,9 +123,6 @@ class Cover:
     num_inputs: int
     cubes: tuple[Cube, ...] = field(default_factory=tuple)
 
-    def evaluate(self, i: int) -> int:
-        return int(any(c.covers(i) for c in self.cubes))
-
     def evaluate_all(self) -> np.ndarray:
         indices = np.arange(1 << self.num_inputs)
         acc = np.zeros(len(indices), dtype=bool)

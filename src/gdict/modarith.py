@@ -18,6 +18,12 @@ The family builds up in four stages:
   workspaces, and un-multiply by the modular inverse of g**(2**i) to clear
   the second workspace.  The result always lands in register A.
 
+Each stage has a layout (``AdderLayout``, ``ModularLayout``,
+``MultiplierLayout``, ``ModExpLayout``) that owns the circuit's registers:
+its ``registers`` tuple is the one place that names them, orders them and
+assigns their qubits.  The constructors declare exactly those registers, and
+the exhaustive checks address them by name.
+
 Supported moduli are N = 2**k - 1 (validated); a and b occupy k qubits.  The
 borrow-flag logic is only claimed for this family here; exhaustive
 simulation against classical integer arithmetic is the correctness arbiter.
@@ -65,8 +71,10 @@ def mod_inverse(a: int, N: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {N} (gcd = {math.gcd(a, N)})") from exc
 
 
-# Layouts.  Registers are plain qubit groups; the default allocators pack
-# them contiguously from a base offset.
+# Layouts.  Each layout owns its circuit's registers: ``registers`` gives
+# their names, their order and their qubits, and the constructors declare
+# exactly those.  The default allocators pack them contiguously from a base
+# offset and name them where they allocate them.
 
 @dataclass(frozen=True)
 class AdderLayout:
@@ -78,32 +86,30 @@ class AdderLayout:
     def width(self) -> int:
         return len(self.x.qubits)
 
+    @property
+    def registers(self) -> tuple[Register, ...]:
+        return (self.x, self.y, self.c)
+
     def validate(self) -> None:
         n = self.width
         if len(self.y.qubits) != n + 1 or len(self.c.qubits) != n:
             raise ValueError("adder layout sizes must be x:n, y:n+1, c:n")
-        all_q = self.x.qubits + self.y.qubits + self.c.qubits
-        if len(set(all_q)) != len(all_q):
-            raise ValueError("adder layout registers overlap")
 
 
 @dataclass(frozen=True)
 class ModularLayout:
     adder: AdderLayout
-    m: Register  # n qubits holding the modulus throughout
-    ctrl: int    # flag ancilla, enters and exits |0>
+    m: Register     # n qubits holding the modulus throughout
+    flag: Register  # one ancilla qubit, enters and exits |0>
+
+    @property
+    def registers(self) -> tuple[Register, ...]:
+        return self.adder.registers + (self.m, self.flag)
 
     def validate(self) -> None:
         self.adder.validate()
-        n = self.adder.width
-        if len(self.m.qubits) != n:
-            raise ValueError("modulus register must match the adder width")
-        all_q = (
-            self.adder.x.qubits + self.adder.y.qubits + self.adder.c.qubits
-            + self.m.qubits + (self.ctrl,)
-        )
-        if len(set(all_q)) != len(all_q):
-            raise ValueError("modular layout registers overlap")
+        if len(self.m.qubits) != self.adder.width or len(self.flag.qubits) != 1:
+            raise ValueError("modular layout sizes must be m:n (the adder width), flag:1")
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,10 @@ class MultiplierLayout:
     ctrl: int        # outer control: multiply when 1, copy input when 0
     x: Register      # input register (unchanged)
     inner: ModularLayout  # inner.adder.x holds shifted constants, inner.adder.y accumulates
+
+    @property
+    def registers(self) -> tuple[Register, ...]:
+        return (Register("ctrl", (self.ctrl,)), self.x) + self.inner.registers
 
     def validate(self) -> None:
         self.inner.validate()
@@ -122,52 +132,65 @@ class MultiplierLayout:
 class ModExpLayout:
     x: Register      # exponent input
     a: Register      # workspace A: enters |1>, exits holding the result
-    b: Register      # workspace B: enters and exits |0> (top bit is adder scratch)
-    inner: ModularLayout  # inner.adder.y is b; inner.adder.x is the constant temp
+    inner: ModularLayout  # inner.adder.x is the constant temp
+
+    @property
+    def b(self) -> Register:
+        """Workspace B, the inner adder's sum register: enters and exits |0>
+        (its top bit is adder scratch)."""
+        return self.inner.adder.y
+
+    @property
+    def registers(self) -> tuple[Register, ...]:
+        inner = self.inner
+        return (self.x, self.a, self.b, inner.adder.x, inner.adder.c, inner.m, inner.flag)
 
     def validate(self) -> None:
         self.inner.validate()
         if len(self.a.qubits) != self.inner.adder.width:
             raise ValueError("workspace A must match the modulus width")
-        if self.inner.adder.y is not self.b and self.inner.adder.y.qubits != self.b.qubits:
-            raise ValueError("workspace B must be the inner adder's sum register")
+
+
+def _pack(base: int, *sizes: tuple[str, int]) -> list[Register]:
+    # Registers of the given names and widths on consecutive qubits from base.
+    registers = []
+    for name, width in sizes:
+        registers.append(Register(name, tuple(range(base, base + width))))
+        base += width
+    return registers
 
 
 def adder_layout(n: int, base: int = 0) -> AdderLayout:
-    x = Register("x", tuple(range(base, base + n)))
-    y = Register("y", tuple(range(base + n, base + 2 * n + 1)))
-    c = Register("c", tuple(range(base + 2 * n + 1, base + 3 * n + 1)))
-    return AdderLayout(x, y, c)
+    return AdderLayout(*_pack(base, ("x", n), ("y", n + 1), ("c", n)))
 
 
 def modular_layout(n: int, base: int = 0) -> ModularLayout:
-    adder = adder_layout(n, base)
-    m = Register("m", tuple(range(base + 3 * n + 1, base + 4 * n + 1)))
-    return ModularLayout(adder, m, base + 4 * n + 1)
+    x, y, c, m, flag = _pack(base, ("x", n), ("y", n + 1), ("c", n), ("m", n), ("ctrl", 1))
+    return ModularLayout(AdderLayout(x, y, c), m, flag)
 
 
-def multiplier_layout(n: int, input_width: int | None = None, base: int = 0) -> MultiplierLayout:
-    w = n if input_width is None else input_width
-    x = Register("x", tuple(range(base + 1, base + 1 + w)))
-    inner = modular_layout(n, base + 1 + w)
-    return MultiplierLayout(base, x, inner)
+def multiplier_layout(n: int) -> MultiplierLayout:
+    x, t, b, c, m, flag = _pack(
+        1, ("x", n), ("t", n), ("B", n + 1), ("c", n), ("m", n), ("mctrl", 1)
+    )
+    return MultiplierLayout(0, x, ModularLayout(AdderLayout(t, b, c), m, flag))
 
 
 def modexp_layout(N: int, exponent_bits: int, base: int = 0) -> ModExpLayout:
     n = N.bit_length()
-    x = Register("x", tuple(range(base, base + exponent_bits)))
-    a = Register("A", tuple(range(base + exponent_bits, base + exponent_bits + n)))
-    off = base + exponent_bits + n
-    b = Register("B", tuple(range(off, off + n + 1)))
-    off += n + 1
-    t = Register("t", tuple(range(off, off + n)))
-    off += n
-    c = Register("c", tuple(range(off, off + n)))
-    off += n
-    m = Register("m", tuple(range(off, off + n)))
-    off += n
-    inner = ModularLayout(AdderLayout(t, b, c), m, off)
-    return ModExpLayout(x, a, b, inner)
+    x, a, b, t, c, m, flag = _pack(
+        base, ("x", exponent_bits), ("A", n), ("B", n + 1), ("t", n), ("c", n), ("m", n),
+        ("mctrl", 1),
+    )
+    return ModExpLayout(x, a, ModularLayout(AdderLayout(t, b, c), m, flag))
+
+
+def _circuit(layout, gates: list[Gate]) -> Circuit:
+    # The circuit over the layout's registers, declared in the layout's order.
+    circuit = Circuit(max(q for reg in layout.registers for q in reg.qubits) + 1, gates)
+    for reg in layout.registers:
+        circuit.add_register(reg)
+    return circuit
 
 
 # Gate-level blocks.
@@ -212,11 +235,7 @@ def adder(n: int, layout: AdderLayout | None = None) -> Circuit:
     layout.validate()
     if layout.width != n:
         raise ValueError(f"layout is {layout.width} bits wide, expected {n}")
-    top = max(layout.x.qubits + layout.y.qubits + layout.c.qubits)
-    circuit = Circuit(top + 1, _adder_gates(layout))
-    for reg in (layout.x, layout.y, layout.c):
-        circuit.add_register(reg)
-    return circuit
+    return _circuit(layout, _adder_gates(layout))
 
 
 def _modulus_fan(ctrl: int, m: Register, N: int) -> list[Gate]:
@@ -227,22 +246,23 @@ def _modulus_fan(ctrl: int, m: Register, N: int) -> list[Gate]:
 def _modadd_gates(layout: ModularLayout, N: int) -> list[Gate]:
     ad = layout.adder
     y_top = ad.y.qubits[-1]
+    flag = layout.flag.qubits[0]
     add_x = _adder_gates(ad)
     sub_x = [g for g in reversed(add_x)]
     m_adder = AdderLayout(layout.m, ad.y, ad.c)
     add_m = _adder_gates(m_adder)
     sub_m = [g for g in reversed(add_m)]
-    fan = _modulus_fan(layout.ctrl, layout.m, N)
+    fan = _modulus_fan(flag, layout.m, N)
 
     gates: list[Gate] = []
     gates += add_x                                    # y = a + b
     gates += sub_m                                    # y = a + b - N, top bit = borrow
-    gates.append(MCX([(y_top, False)], layout.ctrl))  # ctrl = 1 iff no borrow
-    gates += fan                                      # ctrl ? m <- 0 : m stays N
+    gates.append(MCX([(y_top, False)], flag))         # flag = 1 iff no borrow
+    gates += fan                                      # flag ? m <- 0 : m stays N
     gates += add_m                                    # re-add N only when borrowed
     gates += fan                                      # restore m = N
     gates += sub_x                                    # y = result - a, re-derives the flag
-    gates.append(MCX([(y_top, True)], layout.ctrl))   # clear ctrl reversibly
+    gates.append(MCX([(y_top, True)], flag))          # clear the flag reversibly
     gates += add_x                                    # y = result
     return gates
 
@@ -258,15 +278,7 @@ def modular_adder(n: int, N: int, layout: ModularLayout | None = None) -> Circui
         raise ValueError(f"modulus {N} needs {k}-bit registers, layout asks for {n}")
     layout = layout or modular_layout(n)
     layout.validate()
-    qubits = (
-        layout.adder.x.qubits + layout.adder.y.qubits + layout.adder.c.qubits
-        + layout.m.qubits + (layout.ctrl,)
-    )
-    circuit = Circuit(max(qubits) + 1, _modadd_gates(layout, N))
-    for reg in (layout.adder.x, layout.adder.y, layout.adder.c, layout.m):
-        circuit.add_register(reg)
-    circuit.add_register(Register("ctrl", (layout.ctrl,)))
-    return circuit
+    return _circuit(layout, _modadd_gates(layout, N))
 
 
 def _modmul_gates(layout: MultiplierLayout, a: int, N: int) -> list[Gate]:
@@ -301,20 +313,7 @@ def controlled_modular_multiplier(a: int, N: int, layout: MultiplierLayout | Non
         raise ValueError(f"multiplier constant {a} out of range for modulus {N}")
     layout = layout or multiplier_layout(N.bit_length())
     layout.validate()
-    inner = layout.inner
-    qubits = (
-        (layout.ctrl,) + layout.x.qubits + inner.adder.x.qubits + inner.adder.y.qubits
-        + inner.adder.c.qubits + inner.m.qubits + (inner.ctrl,)
-    )
-    circuit = Circuit(max(qubits) + 1, _modmul_gates(layout, a, N))
-    circuit.add_register(Register("ctrl", (layout.ctrl,)))
-    circuit.add_register(layout.x)
-    circuit.add_register(Register("t", inner.adder.x.qubits))
-    circuit.add_register(Register("B", inner.adder.y.qubits))
-    circuit.add_register(inner.adder.c)
-    circuit.add_register(inner.m)
-    circuit.add_register(Register("mctrl", (inner.ctrl,)))
-    return circuit
+    return _circuit(layout, _modmul_gates(layout, a, N))
 
 
 def _modexp_gates(layout: ModExpLayout, g: int, N: int) -> list[Gate]:
@@ -348,20 +347,7 @@ def modexp_circuit(g: int, N: int, exponent_bits: int, layout: ModExpLayout | No
         raise ValueError("need at least one exponent bit")
     layout = layout or modexp_layout(N, exponent_bits)
     layout.validate()
-    inner = layout.inner
-    qubits = (
-        layout.x.qubits + layout.a.qubits + layout.b.qubits
-        + inner.adder.x.qubits + inner.adder.c.qubits + inner.m.qubits + (inner.ctrl,)
-    )
-    circuit = Circuit(max(qubits) + 1, _modexp_gates(layout, g, N))
-    circuit.add_register(layout.x)
-    circuit.add_register(layout.a)
-    circuit.add_register(layout.b)
-    circuit.add_register(Register("t", inner.adder.x.qubits))
-    circuit.add_register(inner.adder.c)
-    circuit.add_register(inner.m)
-    circuit.add_register(Register("mctrl", (inner.ctrl,)))
-    return circuit
+    return _circuit(layout, _modexp_gates(layout, g, N))
 
 
 # Exhaustive verification against classical integer arithmetic.
@@ -393,113 +379,69 @@ def _run_basis(circuit: Circuit, basis: int) -> int:
     return idx
 
 
-def _expect(failures: list[str], circuit: Circuit, basis: int, expected: dict[Register, int],
-            label: str) -> None:
-    out = _run_basis(circuit, basis)
-    for reg, want in expected.items():
-        got = reg.value_of(out)
-        if got != want:
-            failures.append(f"{label}: register {reg.name} = {got}, expected {want}")
+def _failures(circuit: Circuit, cases) -> list[str]:
+    # Runs each (label, inputs, outputs) case, values keyed by register name,
+    # on its basis state.  A register named in outputs must come back holding
+    # that value; every other register must come back holding its input, or 0
+    # if it had none.
+    registers = circuit.registers
+    failures: list[str] = []
+    for label, inputs, outputs in cases:
+        basis = 0
+        for name, value in inputs.items():
+            basis |= registers[name].place_value(value)
+        out = _run_basis(circuit, basis)
+        for name, reg in registers.items():
+            want = outputs.get(name, inputs.get(name, 0))
+            got = reg.value_of(out)
+            if got != want:
+                failures.append(f"{label}: register {name} = {got}, expected {want}")
+    return failures
 
 
 def check_adder(n: int, inverse_direction: bool = False) -> CheckReport:
     """Exhaustive a + b (or subtraction via the inverse) over all n-bit pairs."""
-    layout = adder_layout(n)
-    circuit = adder(n, layout)
+    circuit = adder(n)
+    pairs = [(a, b) for a in range(1 << n) for b in range(1 << n)]
     if inverse_direction:
         circuit = inverse(circuit)
-    failures: list[str] = []
-    cases = 0
-    for a in range(1 << n):
-        for b in range(1 << n):
-            cases += 1
-            if inverse_direction:
-                basis = layout.x.place_value(a) | layout.y.place_value(a + b)
-                expected = {layout.x: a, layout.y: b, layout.c: 0}
-                label = f"sub a={a} s={a + b}"
-            else:
-                basis = layout.x.place_value(a) | layout.y.place_value(b)
-                expected = {layout.x: a, layout.y: a + b, layout.c: 0}
-                label = f"add a={a} b={b}"
-            _expect(failures, circuit, basis, expected, label)
+        cases = [(f"sub a={a} s={a + b}", {"x": a, "y": a + b}, {"y": b}) for a, b in pairs]
+    else:
+        cases = [(f"add a={a} b={b}", {"x": a, "y": b}, {"y": a + b}) for a, b in pairs]
     family = f"adder{'^-1' if inverse_direction else ''} n={n}"
-    return CheckReport(family, cases, failures)
+    return CheckReport(family, len(cases), _failures(circuit, cases))
 
 
 def check_modular_adder(N: int) -> CheckReport:
     n = require_supported_modulus(N)
-    layout = modular_layout(n)
-    circuit = modular_adder(n, N, layout)
-    ctrl_reg = Register("ctrl", (layout.ctrl,))
-    failures: list[str] = []
-    cases = 0
-    for a in range(N):
-        for b in range(N):
-            cases += 1
-            basis = (
-                layout.adder.x.place_value(a)
-                | layout.adder.y.place_value(b)
-                | layout.m.place_value(N)
-            )
-            expected = {
-                layout.adder.x: a,
-                layout.adder.y: (a + b) % N,
-                layout.adder.c: 0,
-                layout.m: N,
-                ctrl_reg: 0,
-            }
-            _expect(failures, circuit, basis, expected, f"modadd a={a} b={b}")
-    return CheckReport(f"modadd N={N}", cases, failures)
+    circuit = modular_adder(n, N)
+    cases = [
+        (f"modadd a={a} b={b}", {"x": a, "y": b, "m": N}, {"y": (a + b) % N})
+        for a in range(N) for b in range(N)
+    ]
+    return CheckReport(f"modadd N={N}", len(cases), _failures(circuit, cases))
 
 
 def check_modular_multiplier(N: int, constants=None) -> CheckReport:
-    n = require_supported_modulus(N)
-    failures: list[str] = []
-    cases = 0
+    require_supported_modulus(N)
     constants = list(constants) if constants is not None else list(range(1, N))
+    count = 0
+    failures: list[str] = []
     for a in constants:
-        layout = multiplier_layout(n)
-        circuit = controlled_modular_multiplier(a, N, layout)
-        ctrl_reg = Register("ctrl", (layout.ctrl,))
-        mctrl_reg = Register("mctrl", (layout.inner.ctrl,))
-        acc = layout.inner.adder.y
-        for ctrl in (0, 1):
-            for x in range(N):
-                cases += 1
-                basis = ctrl_reg.place_value(ctrl) | layout.x.place_value(x) \
-                    | layout.inner.m.place_value(N)
-                expected = {
-                    layout.x: x,
-                    acc: (a * x) % N if ctrl else x,
-                    layout.inner.adder.x: 0,
-                    layout.inner.adder.c: 0,
-                    layout.inner.m: N,
-                    ctrl_reg: ctrl,
-                    mctrl_reg: 0,
-                }
-                _expect(failures, circuit, basis, expected, f"modmul a={a} x={x} ctrl={ctrl}")
-    return CheckReport(f"modmul N={N}", cases, failures)
+        circuit = controlled_modular_multiplier(a, N)
+        cases = [
+            (f"modmul a={a} x={x} ctrl={ctrl}", {"ctrl": ctrl, "x": x, "m": N},
+             {"B": (a * x) % N if ctrl else x})
+            for ctrl in (0, 1) for x in range(N)
+        ]
+        count += len(cases)
+        failures += _failures(circuit, cases)
+    return CheckReport(f"modmul N={N}", count, failures)
 
 
 def check_modexp(g: int, N: int, exponent_bits: int | None = None) -> CheckReport:
     n = require_supported_modulus(N)
     bits = exponent_bits if exponent_bits is not None else n
-    layout = modexp_layout(N, bits)
-    circuit = modexp_circuit(g, N, bits, layout)
-    failures: list[str] = []
-    cases = 0
-    mctrl_reg = Register("mctrl", (layout.inner.ctrl,))
-    for x in range(1 << bits):
-        cases += 1
-        basis = layout.x.place_value(x) | layout.a.place_value(1)
-        expected = {
-            layout.x: x,
-            layout.a: pow(g, x, N),
-            layout.b: 0,
-            layout.inner.adder.x: 0,
-            layout.inner.adder.c: 0,
-            layout.inner.m: 0,
-            mctrl_reg: 0,
-        }
-        _expect(failures, circuit, basis, expected, f"modexp x={x}")
-    return CheckReport(f"modexp g={g} N={N}", cases, failures)
+    circuit = modexp_circuit(g, N, bits)
+    cases = [(f"modexp x={x}", {"x": x, "A": 1}, {"A": pow(g, x, N)}) for x in range(1 << bits)]
+    return CheckReport(f"modexp g={g} N={N}", len(cases), _failures(circuit, cases))

@@ -130,6 +130,19 @@ class TestDHAttack:
             "distribution", "recovered", "probability", "qubits", "gates",
         ]
 
+    def test_precomputed_mode_csv(self, tmp_path, capsys):
+        args = ["dh-attack", "--p", "7", "--g", "3", "--secret", "4",
+                "--count", "4", "--mode", "precomputed"]
+        assert main(args + ["--out", str(tmp_path / "attack.json")]) == 0
+        out = tmp_path / "attack.csv"
+        assert main(args + ["--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "value,probability"
+        rows = dict(line.split(",") for line in lines[1:])
+        report = read_json(tmp_path / "attack.json")
+        assert {v: float(p) for v, p in rows.items()} == report["distribution"]
+        assert "recovered exponent 4" in capsys.readouterr().out
+
     def test_rejects_nonprime(self, capsys):
         assert main(["dh-attack", "--p", "15", "--g", "2", "--secret", "1"]) == 1
         assert "not prime" in capsys.readouterr().err

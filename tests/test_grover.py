@@ -238,6 +238,13 @@ class TestRunSearch:
         assert result.plan.winner_count == 4
         assert result.executed_rounds == 0
 
+    @pytest.mark.parametrize("pattern, rounds", [("1010110", 0), ("xxxxxxx", None)])
+    def test_unknown_mode_rejected_when_no_round_runs(self, reference_db, pattern, rounds):
+        # Both calls execute 0 rounds, so no oracle is built to reject the mode.
+        with pytest.raises(ValueError, match="unknown oracle mode"):
+            run_search(reference_db, Clause.from_pattern(pattern), rounds=rounds,
+                       oracle_mode="bogus")
+
     def test_no_winner(self, reference_db):
         with pytest.raises(NoWinnerError):
             run_search(reference_db, Clause.from_pattern("1111111"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gdict.modarith as modarith
 from gdict.errors import UnsupportedModulusError
 from gdict.modarith import (
     AdderLayout,
@@ -231,3 +232,25 @@ class TestModExp:
             pos = layout.x.place_value(x) | layout.a.place_value(pow(3, x, 7))
             assert abs(state.amplitudes[pos] * scale - 1) < 1e-9
         assert abs(state.norm() - 1) < 1e-9
+
+
+class TestChecksCatchDirtyWorkspace:
+    # Flip the circuit's highest qubit after every case: the carry top for the
+    # adder, the modular adder's flag for the other three families.
+    @pytest.mark.parametrize("check, register", [
+        (lambda: check_adder(2), "c"),
+        (lambda: check_modular_adder(3), "ctrl"),
+        (lambda: check_modular_multiplier(3, [1]), "mctrl"),
+        (lambda: check_modexp(2, 3), "mctrl"),
+    ], ids=["adder", "modadd", "modmul", "modexp"])
+    def test_flipped_top_qubit_fails(self, monkeypatch, check, register):
+        run_basis = modarith._run_basis
+
+        def dirty(circuit, basis):
+            return run_basis(circuit, basis) ^ (1 << (circuit.num_qubits - 1))
+
+        monkeypatch.setattr(modarith, "_run_basis", dirty)
+        report = check()
+        assert not report.passed
+        assert len(report.failures) == report.cases
+        assert all(f": register {register} = " in f for f in report.failures)
