@@ -1,9 +1,9 @@
 """From a classical database to a reversible lookup circuit.
 
 Each record column becomes a truth table over the index bits, the table is
-minimized to disjoint product terms, and each term compiles to one
-multi-controlled NOT writing that column's data qubit.  The resulting
-circuit maps |i>|0> to |i>|record_i> and is its own inverse.
+synthesized as an exclusive sum of product terms, and each term compiles to
+one multi-controlled NOT that XORs it onto that column's data qubit.  The
+resulting circuit maps |i>|0> to |i>|record_i> and is its own inverse.
 
 Run with:  python3 demos/02_dictionary_synthesis.py
 """

@@ -4,7 +4,7 @@ The package splits into:
 
 * :mod:`gdict.sim` - state-vector simulator (support-sparse while the state
   is mostly zeros, dense kernels past that) and circuit text format
-* :mod:`gdict.logic` - truth-table minimization into disjoint product terms
+* :mod:`gdict.logic` - truth-table synthesis into an exclusive sum of product terms
 * :mod:`gdict.dictionary` - database-to-circuit synthesis (|i>|0> -> |i>|R_i>)
 * :mod:`gdict.grover` - oracles, diffuser, round planning, integrated search
 * :mod:`gdict.modarith` - reversible adder / modular adder / multiplier / modexp

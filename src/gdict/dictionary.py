@@ -94,7 +94,7 @@ def pad_database(database: Database) -> Database:
 
 
 def column_truth_table(database: Database, column: int) -> TruthTable:
-    """Truth table of one record column over the index bits (all care)."""
+    """Truth table of one record column over the index bits."""
     if not 0 <= column < database.n:
         raise ValueError(f"column {column} out of range for width {database.n}")
     bits = [int(r[column]) for r in database.records]

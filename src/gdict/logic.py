@@ -1,10 +1,14 @@
-"""Two-level Boolean minimization and compilation into controlled-NOT networks.
+"""Exclusive-sum-of-products synthesis and compilation into controlled-NOT networks.
 
 A database column becomes a truth table over the index bits, the table is
-minimized to a set of product terms (cubes), and each cube compiles to one
-multi-controlled-NOT.  Because the gates XOR onto their target, the compiled
-cube set must be pairwise disjoint so that exactly one gate fires per input;
-``minimize`` guarantees this with a splitting pass after cover selection.
+synthesized as an exclusive sum of product terms (cubes, an ESOP), and each
+cube compiles to one multi-controlled-NOT.  The gates XOR onto their
+target, so the target ends up holding the XOR of the cubes that fire, and
+any ESOP of the column is a correct circuit; cubes may overlap.
+``minimize`` builds a pseudo-Kronecker expression of the table and shrinks
+it with a distance-1 merge pass (Mishchenko & Perkowski, "Fast heuristic
+minimization of exclusive-sums-of-products", 2001; Fazel, Thornton & Rice,
+"ESOP-based Toffoli gate cascade generation", 2007).
 
 Input ordering: cube input i corresponds to index bit i, so input m-1 is the
 most significant index bit.  Debug strings list inputs MSB first, e.g. "01-"
@@ -13,7 +17,7 @@ means (negative, positive, absent) over three inputs.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,34 +95,30 @@ class Cube:
 
 @dataclass
 class TruthTable:
-    """Outputs over all 2**num_inputs assignments; care bit 0 = don't-care."""
+    """Outputs over all 2**num_inputs assignments."""
 
     num_inputs: int
     outputs: np.ndarray
-    care: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         size = 1 << self.num_inputs
         self.outputs = np.asarray(self.outputs, dtype=np.uint8)
-        if self.care is None:
-            self.care = np.ones(size, dtype=np.uint8)
-        else:
-            self.care = np.asarray(self.care, dtype=np.uint8)
-        if len(self.outputs) != size or len(self.care) != size:
-            raise ValueError(f"table arrays must have length {size}")
+        if len(self.outputs) != size:
+            raise ValueError(f"table outputs must have length {size}")
 
     @classmethod
-    def from_bits(cls, bits, care=None) -> "TruthTable":
+    def from_bits(cls, bits) -> "TruthTable":
         bits = list(bits)
         m = max(1, (len(bits) - 1).bit_length())
         if len(bits) != 1 << m:
             raise ValueError("bit list length must be a power of two")
-        return cls(m, np.array(bits, dtype=np.uint8), care)
+        return cls(m, np.array(bits, dtype=np.uint8))
 
 
 @dataclass
 class Cover:
-    """Ordered cube set; pairwise-disjoint when produced by ``minimize``."""
+    """Ordered cube set read as an exclusive sum: an input's value is the
+    parity of the cubes that cover it."""
 
     num_inputs: int
     cubes: tuple[Cube, ...] = field(default_factory=tuple)
@@ -127,15 +127,8 @@ class Cover:
         indices = np.arange(1 << self.num_inputs)
         acc = np.zeros(len(indices), dtype=bool)
         for c in self.cubes:
-            acc |= c.covers_array(indices)
+            acc ^= c.covers_array(indices)
         return acc.astype(np.uint8)
-
-    def is_disjoint(self) -> bool:
-        for i, a in enumerate(self.cubes):
-            for b in self.cubes[i + 1:]:
-                if a.intersects(b):
-                    return False
-        return True
 
     def to_strings(self) -> list[str]:
         return [c.to_string() for c in self.cubes]
@@ -165,71 +158,129 @@ def prime_implicants(num_inputs: int, on: set[int], dc: set[int]) -> list[Cube]:
     return [c for c in cubes if any(c.covers(i) for i in on)]
 
 
-def minimize(table: TruthTable) -> Cover:
-    """Greedy prime-implicant cover, split into pairwise-disjoint cubes.
+def _pkrm_cost(f: int, k: int, memo: list[dict[int, int]]) -> int:
+    """Fewest cubes of a pseudo-Kronecker expression of ``f``, a bitset over
+    the 2**k assignments of inputs 0..k-1 (bit i holds the output at i)."""
+    if f == 0:
+        return 0
+    if k == 0:
+        return 1
+    cost = memo[k].get(f)
+    if cost is None:
+        cost = memo[k][f] = _cheapest_expansion(f, k, memo)[0]
+    return cost
 
-    Ties in the greedy selection go to the implicant with the most newly
-    covered minterms, then fewest literals, then lexicographic cube order,
-    which keeps synthesized gate lists reproducible.
+
+def _cheapest_expansion(f: int, k: int, memo) -> tuple[int, int, int, int]:
+    """(cost, choice, f0, f1) for ``f`` expanded on input k-1, where f0 and
+    f1 are its cofactors and choice 0, 1, 2 names the Shannon, positive
+    Davio and negative Davio expansion; ties go to the lowest choice."""
+    half = 1 << (k - 1)
+    f0, f1 = f & ((1 << half) - 1), f >> half
+    c0 = _pkrm_cost(f0, k - 1, memo)
+    c1 = _pkrm_cost(f1, k - 1, memo)
+    c2 = _pkrm_cost(f0 ^ f1, k - 1, memo)
+    costs = (c0 + c1, c0 + c2, c1 + c2)
+    cost = min(costs)
+    return cost, costs.index(cost), f0, f1
+
+
+def _pkrm_cubes(f: int, k: int, memo, mask: int, value: int, out: list) -> None:
+    """Append the cubes of the cheapest expression of ``f`` to ``out``, each
+    extended by the literals (mask, value) chosen above input k-1."""
+    if f == 0:
+        return
+    if k == 0:
+        out.append((mask, value))
+        return
+    _, choice, f0, f1 = _cheapest_expansion(f, k, memo)
+    bit = 1 << (k - 1)
+    if choice == 0:  # Shannon: x'f0 ^ xf1
+        _pkrm_cubes(f0, k - 1, memo, mask | bit, value, out)
+        _pkrm_cubes(f1, k - 1, memo, mask | bit, value | bit, out)
+    elif choice == 1:  # positive Davio: f0 ^ x(f0^f1)
+        _pkrm_cubes(f0, k - 1, memo, mask, value, out)
+        _pkrm_cubes(f0 ^ f1, k - 1, memo, mask | bit, value | bit, out)
+    else:  # negative Davio: f1 ^ x'(f0^f1)
+        _pkrm_cubes(f1, k - 1, memo, mask, value, out)
+        _pkrm_cubes(f0 ^ f1, k - 1, memo, mask | bit, value, out)
+
+
+def _merge_distance_one(cubes: list[tuple[int, int]], num_inputs: int) -> list[tuple[int, int]]:
+    """Rewrite pairs of cubes at distance one until none is left.
+
+    Identical cubes cancel; xC ^ x'C = C; xC ^ C = x'C.  Every rewrite
+    removes at least one cube, and each new cube is checked against the
+    survivors, so no mergeable pair remains.  The survivors keep insertion
+    order, which makes the result independent of hashing.
+    """
+    present: dict[tuple[int, int], None] = {}
+    queue: deque[tuple[int, int]] = deque()
+
+    def add(cube):
+        if cube in present:
+            del present[cube]
+        else:
+            present[cube] = None
+            queue.append(cube)
+
+    for cube in cubes:
+        add(cube)
+    bits = [1 << i for i in range(num_inputs)]
+    while queue:
+        cube = queue.popleft()
+        if cube not in present:
+            continue
+        mask, value = cube
+        for b in bits:
+            # (partner, merged) pairs for the literal on input b
+            if mask & b:  # cube is xC: with x'C it gives C, with C it gives x'C
+                pairs = (((mask, value ^ b), (mask ^ b, value & ~b)),
+                         ((mask ^ b, value & ~b), (mask, value ^ b)))
+            else:  # cube is C: with xC it gives x'C, with x'C it gives xC
+                pairs = (((mask | b, value | b), (mask | b, value)),
+                         ((mask | b, value), (mask | b, value | b)))
+            hit = next((pair for pair in pairs if pair[0] in present), None)
+            if hit is not None:
+                partner, merged = hit
+                del present[cube], present[partner]
+                add(merged)
+                break
+    return list(present)
+
+
+def minimize(table: TruthTable) -> Cover:
+    """Exclusive sum of products whose XOR equals the table.
+
+    A memoised pseudo-Kronecker recursion picks, at each input from the
+    most significant down, the cheapest of the Shannon, positive Davio and
+    negative Davio expansions (ties in that order); a distance-1 merge pass
+    then rewrites cube pairs into single cubes.  Both steps are
+    deterministic, so synthesized gate lists are reproducible.
     """
     m = table.num_inputs
     if m > 16:
         raise ValueError("minimization supports at most 16 inputs")
-    indices = np.arange(1 << m)
-    on_arr = (table.outputs != 0) & (table.care != 0)
-    dc_arr = table.care == 0
-    on = set(map(int, indices[on_arr]))
-    dc = set(map(int, indices[dc_arr]))
-    if not on:
-        return Cover(m, ())
-
-    primes = prime_implicants(m, on, dc)
-    primes.sort(key=lambda c: c.to_string())
-    coverage = {c: c.covers_array(indices) & on_arr for c in primes}
-
-    remaining = on_arr.copy()
-    chosen: list[Cube] = []
-    while remaining.any():
-        best = None
-        best_rank = None
-        for c in primes:
-            newly = int((coverage[c] & remaining).sum())
-            if newly == 0:
-                continue
-            rank = (-newly, c.literal_count, c.to_string())
-            if best_rank is None or rank < best_rank:
-                best, best_rank = c, rank
-        chosen.append(best)
-        remaining &= ~coverage[best]
-
-    disjoint: list[Cube] = []
-    for cube in chosen:
-        pieces = [cube]
-        for prev in disjoint:
-            pieces = [p for piece in pieces for p in piece.subtract(prev)]
-        if dc:
-            pieces = [p for p in pieces if bool((p.covers_array(indices) & on_arr).any())]
-        disjoint.extend(pieces)
-    return Cover(m, tuple(disjoint))
+    f = int.from_bytes(np.packbits(table.outputs != 0, bitorder="little").tobytes(), "little")
+    memo: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    cubes: list[tuple[int, int]] = []
+    _pkrm_cubes(f, m, memo, 0, 0, cubes)
+    return Cover(m, tuple(Cube(m, mask, value) for mask, value in _merge_distance_one(cubes, m)))
 
 
 def verify_cover(cover: Cover, table: TruthTable) -> bool:
-    """Exhaustive check of cover evaluation against the table's care inputs."""
-    got = cover.evaluate_all()
-    care = table.care != 0
-    return bool(np.array_equal(got[care], (table.outputs != 0).astype(np.uint8)[care]))
+    """Exhaustive check that the XOR of the cover's cubes equals the table."""
+    return bool(np.array_equal(cover.evaluate_all(), (table.outputs != 0).astype(np.uint8)))
 
 
 def cover_to_gates(cover: Cover, index_register: Register, target: int) -> list[Gate]:
     """One MCX per cube; an all-absent cube compiles to an uncontrolled X.
 
-    Disjointness means at most one gate fires per basis input, so the XOR
-    accumulation on the target equals the OR of the cubes.
+    Each gate XORs its cube onto the target, so the network computes the
+    cover's exclusive sum whether or not the cubes overlap.
     """
     if len(index_register.qubits) < cover.num_inputs:
         raise ValueError("index register narrower than the cover's input count")
-    if not cover.is_disjoint():
-        raise ValueError("cover cubes overlap; compile requires disjoint cubes")
     gates = []
     for cube in cover.cubes:
         if cube.mask == 0:

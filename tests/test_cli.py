@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import REFERENCE_RECORDS
+from conftest import REFERENCE_RECORDS, random_database
 from gdict.cli import main
 
 
@@ -243,6 +248,29 @@ class TestDeterminism:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_synth_dict_independent_of_hash_seed(self, tmp_path):
+        # Synthesis keeps dicts and sets of its own; string hashing differs
+        # between interpreters, so two hash seeds must give the same bytes.
+        rng = np.random.default_rng(9)
+        db = tmp_path / "db.txt"
+        db.write_text("\n".join(random_database(rng, 8, 8).records) + "\n", encoding="utf-8")
+        root = Path(__file__).resolve().parent.parent
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "gdict.cli", "synth-dict", str(db),
+                 "--out", str(tmp_path / f"dict{seed}.qc")],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for suffix in (".qc", ".qc.json"):
+            a = (tmp_path / f"dict0{suffix}").read_bytes()
+            b = (tmp_path / f"dict1{suffix}").read_bytes()
+            assert a == b, suffix
 
     def test_bad_flag_returns_one(self, capsys):
         assert main(["grover-search"]) == 1

@@ -1,19 +1,57 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdict.logic import Cover, Cube, TruthTable, cover_to_gates, minimize, verify_cover
+from gdict.logic import (
+    Cover,
+    Cube,
+    TruthTable,
+    cover_to_gates,
+    minimize,
+    prime_implicants,
+    verify_cover,
+)
 from gdict.sim import Circuit, Register, apply_circuit, new_state
 
 
-def random_table(rng: np.random.Generator, m: int, with_dont_cares: bool = False) -> TruthTable:
-    size = 1 << m
-    outputs = rng.integers(0, 2, size=size, dtype=np.uint8)
-    care = None
-    if with_dont_cares:
-        care = rng.integers(0, 2, size=size, dtype=np.uint8)
-        if not care.any():
-            care[0] = 1
-    return TruthTable(m, outputs, care)
+def random_table(rng: np.random.Generator, m: int) -> TruthTable:
+    return TruthTable(m, rng.integers(0, 2, size=1 << m, dtype=np.uint8))
+
+
+def table_of(f: int, m: int) -> TruthTable:
+    """Table whose output at input i is bit i of ``f``."""
+    return TruthTable(m, [f >> i & 1 for i in range(1 << m)])
+
+
+def xor_of_cubes(cover: Cover) -> list[int]:
+    """Output per input as the parity of the cubes covering it, cube by cube."""
+    return [sum(c.covers(i) for c in cover.cubes) % 2 for i in range(1 << cover.num_inputs)]
+
+
+def esop_minima(m: int) -> list[int]:
+    """Fewest mixed-polarity product terms whose XOR is f, for every f over
+    m inputs: breadth-first search from 0 with each of the 3^m terms as a
+    step, independent of ``gdict.logic``."""
+    terms = {
+        sum(1 << i for i in range(1 << m) if (i & mask) == value)
+        for mask in range(1 << m)
+        for value in range(1 << m)
+        if value & ~mask == 0
+    }
+    assert len(terms) == 3 ** m
+    dist = [-1] * (1 << (1 << m))
+    dist[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for term in terms:
+                if dist[f ^ term] < 0:
+                    dist[f ^ term] = dist[f] + 1
+                    nxt.append(f ^ term)
+        frontier = nxt
+    return dist
 
 
 class TestCube:
@@ -51,10 +89,33 @@ class TestCube:
             assert np.array_equal(got, want)
 
 
+class TestPrimeImplicants:
+    def test_primes_cover_exactly_and_are_maximal(self):
+        # Kept for callers outside minimize: every prime covers only ON
+        # minterms, the primes cover them all, and no literal can be dropped.
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            m = int(rng.integers(1, 6))
+            on = {i for i in range(1 << m) if rng.integers(0, 2)}
+            primes = prime_implicants(m, on, set())
+            covered = set()
+            for p in primes:
+                cells = {i for i in range(1 << m) if p.covers(i)}
+                assert cells <= on
+                covered |= cells
+                for b in range(m):
+                    if p.mask >> b & 1:
+                        wider = Cube(m, p.mask & ~(1 << b), p.value & ~(1 << b))
+                        assert not {i for i in range(1 << m) if wider.covers(i)} <= on
+            assert covered == on
+
+
 class TestMinimize:
     def test_xor_two_disjoint_cubes(self):
-        cover = minimize(TruthTable.from_bits([0, 1, 1, 0]))
-        assert sorted(cover.to_strings()) == ["01", "10"]
+        table = TruthTable.from_bits([0, 1, 1, 0])
+        cover = minimize(table)
+        assert len(cover.cubes) == 2
+        assert verify_cover(cover, table)
 
     def test_single_variable(self):
         cover = minimize(TruthTable.from_bits([0, 0, 1, 1]))
@@ -71,7 +132,7 @@ class TestMinimize:
     def test_or_splits_into_two(self):
         cover = minimize(TruthTable.from_bits([0, 1, 1, 1]))
         assert len(cover.cubes) == 2
-        assert cover.is_disjoint()
+        assert xor_of_cubes(cover) == [0, 1, 1, 1]
         assert verify_cover(cover, TruthTable.from_bits([0, 1, 1, 1]))
 
     def test_deterministic(self):
@@ -85,44 +146,43 @@ class TestMinimize:
             minimize(TruthTable(17, np.zeros(1 << 17, dtype=np.uint8)))
 
     def test_roundtrip_random_tables(self):
-        # 1000 randomized tables across widths 1..8: the cover must evaluate
-        # identically, stay disjoint, and never beat the minterm count.
+        # 1000 randomized tables across widths 1..8: the XOR of the cubes
+        # must equal the table and the cover never beat the minterm count.
         rng = np.random.default_rng(42)
         for _ in range(1000):
             m = int(rng.integers(1, 9))
             table = random_table(rng, m)
             cover = minimize(table)
             assert verify_cover(cover, table)
-            assert cover.is_disjoint()
-            on_count = int(((table.outputs != 0) & (table.care != 0)).sum())
+            on_count = int((table.outputs != 0).sum())
             assert len(cover.cubes) <= on_count
 
-    def test_exhaustive_disjointness(self):
+    def test_exhaustive_parity(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
             m = int(rng.integers(1, 7))
-            cover = minimize(random_table(rng, m))
-            for i in range(1 << m):
-                assert sum(c.covers(i) for c in cover.cubes) <= 1
+            table = random_table(rng, m)
+            assert xor_of_cubes(minimize(table)) == list(table.outputs)
 
-    def test_dont_cares_respected(self):
-        rng = np.random.default_rng(44)
-        for _ in range(200):
-            m = int(rng.integers(1, 8))
-            table = random_table(rng, m, with_dont_cares=True)
-            cover = minimize(table)
-            assert verify_cover(cover, table)
-            assert cover.is_disjoint()
-            on_count = int(((table.outputs != 0) & (table.care != 0)).sum())
-            assert len(cover.cubes) <= on_count
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_exact_on_small_functions(self, m):
+        minima = esop_minima(m)
+        for f in range(1 << (1 << m)):
+            assert len(minimize(table_of(f, m)).cubes) == minima[f], f
 
-    def test_dont_cares_can_shrink_cover(self):
-        # f = 1 on input 3, input 1 is don't-care: a single cube "-1" suffices
-        # where the care-only table needs the full minterm.
-        table = TruthTable(2, np.array([0, 0, 0, 1]), np.array([1, 0, 1, 1]))
-        cover = minimize(table)
-        assert len(cover.cubes) == 1
-        assert verify_cover(cover, table)
+    def test_three_input_total(self):
+        # 603 was the total of the former disjoint-cover synthesis; 549 is
+        # the sum of the exact minima.
+        total = sum(len(minimize(table_of(f, 3)).cubes) for f in range(256))
+        assert sum(esop_minima(3)) == 549
+        assert total <= 603
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10).flatmap(
+        lambda m: st.lists(st.booleans(), min_size=1 << m, max_size=1 << m)))
+    def test_xor_of_cubes_equals_table(self, bits):
+        table = TruthTable((len(bits) - 1).bit_length(), bits)
+        assert verify_cover(minimize(table), table)
 
 
 class TestVerifyCover:
@@ -160,10 +220,10 @@ class TestCoverToGates:
         assert len(gates) == 1
         assert gates[0].kind == "X"
 
-    def test_overlapping_cover_rejected(self):
+    def test_overlapping_cover_compiles(self):
         overlapping = Cover(2, (Cube.from_string("1-"), Cube.from_string("-1")))
-        with pytest.raises(ValueError):
-            cover_to_gates(overlapping, self.register, 2)
+        assert len(cover_to_gates(overlapping, self.register, 2)) == 2
+        assert simulate_cover_outputs(overlapping, 2) == xor_of_cubes(overlapping) == [0, 1, 1, 0]
 
     def test_register_too_narrow(self):
         with pytest.raises(ValueError):
