@@ -53,7 +53,6 @@ from .grover import (
     GroverPlan,
     SearchResult,
     diffuser,
-    hadamard_transform,
     optimal_rounds,
     phase_oracle,
     run_search,

@@ -253,7 +253,6 @@ def _cmd_gatecount(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--precision", choices=("double", "single"), default="double")
     p.add_argument("--max-qubits", type=int, default=None,
                    help="state-vector cap (default 26; GDICT_MAX_QUBITS overrides)")
@@ -294,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=4, help="candidate list size")
     p.add_argument("--mode", choices=("circuit", "precomputed"), default="circuit")
     p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     _add_common(p)
     p.set_defaults(fn=_cmd_dh_attack)
 

@@ -130,14 +130,6 @@ def plan_rounds(N: int, M: int, rounds: int | None) -> tuple[GroverPlan, int]:
     return plan, executed
 
 
-def hadamard_transform(register: Register) -> Circuit:
-    """One H per register qubit; |0> becomes the uniform superposition."""
-    top = max(register.qubits)
-    circuit = Circuit(top + 1, [H(q) for q in register.qubits])
-    circuit.add_register(register)
-    return circuit
-
-
 def phase_oracle(clause: Clause, data_register: Register, mode: str = PHASE_FLIP,
                  ancilla: int | None = None) -> Circuit:
     """Multiply clause-satisfying basis states by -1.

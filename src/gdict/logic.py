@@ -47,10 +47,6 @@ class Cube:
     def covers_array(self, indices: np.ndarray) -> np.ndarray:
         return (indices & self.mask) == self.value
 
-    @property
-    def literal_count(self) -> int:
-        return bin(self.mask).count("1")
-
     def intersects(self, other: "Cube") -> bool:
         both = self.mask & other.mask
         return (self.value ^ other.value) & both == 0

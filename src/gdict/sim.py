@@ -1,11 +1,13 @@
 """State-vector simulation of reversible circuits.
 
-A StateVector holds all 2**q amplitudes.  ``apply_circuit`` runs gates on
-the state's nonzero support, the (basis index, amplitude) pairs, while that
+A StateVector holds all 2**q amplitudes.  ``apply_circuit`` checks every
+gate of a circuit before it changes the state, then runs gates on the
+state's nonzero support, the (basis index, amplitude) pairs, while that
 support holds at most SUPPORT_MAX_SHARE of the amplitudes; past that share
 it writes the support back and runs the remaining gates on the dense
-kernels that ``apply_gate`` uses.  Both paths are plain numpy and compute
-the same amplitudes bit for bit.
+kernels that ``apply_gate`` uses.  Both kernel sets read one gate plan
+(``_gate_plan``), are plain numpy, and compute the same amplitudes bit for
+bit.
 
 Conventions used throughout the package:
 
@@ -200,9 +202,6 @@ class StateVector:
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -230,91 +229,17 @@ def new_state(
     return StateVector(num_qubits, amps)
 
 
-def _check_qubits(gate: Gate, num_qubits: int) -> None:
-    for q in gate.qubits:
+def _check_qubits(qubits, num_qubits: int) -> None:
+    for q in qubits:
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
 
 
-# Dense amplitude kernels, used by ``apply_gate`` and by ``apply_circuit``
-# once the support outgrows its share: each gate is a numpy operation on
-# strided views of the amplitude array that writes every touched amplitude
-# exactly once, so results are independent of any internal scheduling.
-
-# There are no compiled kernels; the benchmark's machine block reads this
-# name to report its kernel path as numpy.
-USE_NUMBA = False
-
-
-def _axis_view(amps: np.ndarray, qubit: int) -> np.ndarray:
-    # Shape (high, 2, low) where axis 1 is the chosen qubit's bit.
-    return amps.reshape(-1, 2, 1 << qubit)
-
-
-def _pattern_selector(num_qubits: int, controls) -> list:
-    sel: list = [slice(None)] * num_qubits
-    for q, positive in controls:
-        sel[num_qubits - 1 - q] = 1 if positive else 0
-    return sel
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place and return the state."""
-    _check_qubits(gate, state.num_qubits)
-    amps, q = state.amplitudes, state.num_qubits
-    kind = gate.kind
-    if kind == "H":
-        v = _axis_view(amps, gate.targets[0])
-        s = amps.dtype.type(2 ** -0.5)
-        a0 = v[:, 0, :].copy()
-        v[:, 0, :] = (a0 + v[:, 1, :]) * s
-        v[:, 1, :] = (a0 - v[:, 1, :]) * s
-    elif kind == "X":
-        v = _axis_view(amps, gate.targets[0])
-        a0 = v[:, 0, :].copy()
-        v[:, 0, :] = v[:, 1, :]
-        v[:, 1, :] = a0
-    elif kind == "Z":
-        v = _axis_view(amps, gate.targets[0])
-        v[:, 1, :] *= -1
-    elif kind == "SWAP":
-        a, b = gate.targets
-        view = amps.reshape((2,) * q)
-        s01: list = [slice(None)] * q
-        s10: list = [slice(None)] * q
-        s01[q - 1 - a], s01[q - 1 - b] = 0, 1
-        s10[q - 1 - a], s10[q - 1 - b] = 1, 0
-        tmp = view[tuple(s01)].copy()
-        view[tuple(s01)] = view[tuple(s10)]
-        view[tuple(s10)] = tmp
-    elif kind == "MCX":
-        view = amps.reshape((2,) * q)
-        sel = _pattern_selector(q, gate.controls)
-        t = q - 1 - gate.targets[0]
-        s0, s1 = list(sel), list(sel)
-        s0[t], s1[t] = 0, 1
-        tmp = view[tuple(s0)].copy()
-        view[tuple(s0)] = view[tuple(s1)]
-        view[tuple(s1)] = tmp
-    else:  # MCZ
-        view = amps.reshape((2,) * q)
-        sel = _pattern_selector(q, gate.controls)
-        view[tuple(sel)] *= -1
-    return state
-
-
-# Support kernels, used by ``apply_circuit``: X/MCX and SWAP rewrite basis
-# indices, Z/MCZ negate amplitudes, H merges index pairs that differ only
-# in its target, computing the dense kernel's sums, and drops exact zeros.
-# Their cost grows with the support, not with 2**q.  Measured per gate kind
-# at q=16..22 against the numpy dense kernels, a support of 1/16 of 2**q
-# costs 0.5-1.2x for H and at most 0.7x for the other kinds; at 1/8, H
-# costs 1.6-2.6x and a 4-control MCZ 1.2-1.4x.  Hence the share below.
-SUPPORT_MAX_SHARE = 1 / 16
-
-
+# What a gate does is decided here alone: the dense and the support kernels
+# both read this plan.  X/MCX flip the target bits where the controls match;
+# Z/MCZ negate where they match, Z's target counting as a control.
 @lru_cache(maxsize=1024)
-def _support_plan(gate: Gate) -> tuple[str, int, int, int]:
+def _gate_plan(gate: Gate) -> tuple[str, int, int, int]:
     # (op, control mask, control pattern under the mask, target bits).
     # Sized for the distinct gates of one circuit, which repeat across
     # Grover rounds and basis-state checks; a larger cache holding gates of
@@ -329,10 +254,69 @@ def _support_plan(gate: Gate) -> tuple[str, int, int, int]:
     return (gate.kind, mask, want, bits)
 
 
+# Dense amplitude kernels, used by ``apply_gate`` and by ``apply_circuit``
+# once the support outgrows its share: each gate is a numpy operation on
+# index selectors into the (2,)*q view of the amplitude array that writes
+# every touched amplitude exactly once, so results are independent of any
+# internal scheduling.
+
+# There are no compiled kernels; the benchmark's machine block reads this
+# name to report its kernel path as numpy.
+USE_NUMBA = False
+
+
+def _selector(num_qubits: int, mask: int, value: int) -> tuple:
+    # Index into the (2,)*q view: the axis of each qubit in ``mask`` fixed
+    # to that qubit's bit of ``value``, every other axis whole.
+    sel: list = [slice(None)] * num_qubits
+    for k in range(num_qubits):
+        if mask >> k & 1:
+            sel[num_qubits - 1 - k] = value >> k & 1
+    return tuple(sel)
+
+
+def _apply_gate_dense(amps: np.ndarray, q: int, gate: Gate) -> None:
+    op, mask, want, bits = _gate_plan(gate)
+    view = amps.reshape((2,) * q)
+    if op == "negate":
+        view[_selector(q, mask, want)] *= -1
+        return
+    # The two halves the gate mixes or exchanges under the control pattern:
+    # target 0 and target 1, or for SWAP (low target 1, high 0) and the reverse.
+    low = bits & -bits if op == "SWAP" else 0
+    s0 = _selector(q, mask | bits, want | low)
+    s1 = _selector(q, mask | bits, want | (low ^ bits))
+    a0 = view[s0].copy()
+    if op == "H":
+        s = amps.dtype.type(2 ** -0.5)
+        view[s0] = (a0 + view[s1]) * s
+        view[s1] = (a0 - view[s1]) * s
+    else:  # flip and SWAP exchange the halves
+        view[s0] = view[s1]
+        view[s1] = a0
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate in place and return the state."""
+    _check_qubits(gate.qubits, state.num_qubits)
+    _apply_gate_dense(state.amplitudes, state.num_qubits, gate)
+    return state
+
+
+# Support kernels, used by ``apply_circuit``: X/MCX and SWAP rewrite basis
+# indices, Z/MCZ negate amplitudes, H merges index pairs that differ only
+# in its target, computing the dense kernel's sums, and drops exact zeros.
+# Their cost grows with the support, not with 2**q.  Measured per gate kind
+# at q=16..22 against the numpy dense kernels, a support of 1/16 of 2**q
+# costs 0.5-1.2x for H and at most 0.7x for the other kinds; at 1/8, H
+# costs 1.6-2.6x and a 4-control MCZ 1.2-1.4x.  Hence the share below.
+SUPPORT_MAX_SHARE = 1 / 16
+
+
 def _apply_gate_support(idx: np.ndarray, vals: np.ndarray, gate: Gate):
     # The gate on the (basis index, amplitude) pairs of the nonzero
     # amplitudes; returns the new pairs, in no particular order.
-    op, mask, want, bits = _support_plan(gate)
+    op, mask, want, bits = _gate_plan(gate)
     if op == "flip":
         np.bitwise_xor(idx, bits, out=idx, where=(idx & mask) == want)
     elif op == "negate":
@@ -358,38 +342,39 @@ def _apply_gate_support(idx: np.ndarray, vals: np.ndarray, gate: Gate):
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply all gates in order; requires circuit fits inside the state.
 
-    Gates run on the nonzero support of the state while it holds at most
-    SUPPORT_MAX_SHARE of the 2**q amplitudes; past that, the support is
-    written back and the remaining gates run through the dense
-    ``apply_gate``.  Both paths compute the same amplitudes bit for bit.
+    Every gate's qubits are checked before the state changes, so a bad gate
+    raises ValueError with the state untouched.  Gates run on the nonzero
+    support of the state while it holds at most SUPPORT_MAX_SHARE of the
+    2**q amplitudes; past that, the support is written back and the
+    remaining gates run on the dense kernels.  Both paths compute the same
+    amplitudes bit for bit.
     """
     q = state.num_qubits
     if circuit.num_qubits > q:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, state has {q}")
+    gates = circuit.gates
+    for gate in gates:
+        _check_qubits(gate.qubits, q)
     amps = state.amplitudes
     limit = int(amps.size * SUPPORT_MAX_SHARE)
-    gates = circuit.gates
     done = 0
     idx = np.flatnonzero(amps)
     if idx.size <= limit:
         vals = amps[idx]
-        try:
-            while done < len(gates) and idx.size <= limit:
-                _check_qubits(gates[done], q)
-                idx, vals = _apply_gate_support(idx, vals, gates[done])
-                done += 1
-        finally:
-            amps.fill(0)
-            amps[idx] = vals
+        while done < len(gates) and idx.size <= limit:
+            idx, vals = _apply_gate_support(idx, vals, gates[done])
+            done += 1
+        amps.fill(0)
+        amps[idx] = vals
     for gate in gates[done:]:
-        apply_gate(state, gate)
+        _apply_gate_dense(amps, q, gate)
     return state
 
 
 def marginal_distribution(state: StateVector, register: Register) -> dict[int, float]:
     """Probability of each register value, summed over the other qubits."""
     q = state.num_qubits
-    _check_register(register, q)
+    _check_qubits(register.qubits, q)
     probs = state.probabilities().reshape((2,) * q)
     axes_keep = [q - 1 - qb for qb in register.qubits]
     drop = tuple(a for a in range(q) if a not in set(axes_keep))
@@ -401,12 +386,6 @@ def marginal_distribution(state: StateVector, register: Register) -> dict[int, f
     perm = [pos[axes_keep[j]] for j in reversed(range(r))]
     flat = probs.transpose(perm).reshape(-1)
     return {v: float(flat[v]) for v in range(1 << r)}
-
-
-def _check_register(register: Register, num_qubits: int) -> None:
-    for qb in register.qubits:
-        if not 0 <= qb < num_qubits:
-            raise ValueError(f"register qubit {qb} out of range")
 
 
 def sample(state: StateVector, register: Register, shots: int, seed: int) -> dict[int, int]:

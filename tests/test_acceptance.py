@@ -309,7 +309,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
 
         assert main(["synth-dict", str(db_path), "--out", str(into / "dict.qc")]) == 0
         stdout_chunks.append(grab())
-        assert main(["grover-search", str(db_path), "1010110", "--seed", "0",
+        assert main(["grover-search", str(db_path), "1010110",
                      "--out", str(into / "search.json")]) == 0
         stdout_chunks.append(grab())
         assert main(["verify-arith", "modadd", "--modulus", "7"]) == 0

@@ -239,7 +239,7 @@ class TestDeterminism:
             d = tmp_path / sub
             d.mkdir()
             main(["synth-dict", str(db_file), "--out", str(d / "dict.qc")])
-            main(["grover-search", str(db_file), "1010110", "--seed", "0",
+            main(["grover-search", str(db_file), "1010110",
                   "--out", str(d / "search.json")])
             main(["dh-attack", "--p", "7", "--g", "3", "--secret", "4",
                   "--count", "4", "--mode", "precomputed", "--seed", "0",
@@ -271,6 +271,14 @@ class TestDeterminism:
             a = (tmp_path / f"dict0{suffix}").read_bytes()
             b = (tmp_path / f"dict1{suffix}").read_bytes()
             assert a == b, suffix
+
+    def test_seed_only_on_dh_attack(self, tmp_path, db_file):
+        # grover-search and simulate draw no random numbers, so they take no --seed.
+        circuit = tmp_path / "c.qc"
+        circuit.write_text("X q0\n", encoding="utf-8")
+        assert main(["grover-search", str(db_file), "1010110", "--seed", "0"]) == 1
+        assert main(["simulate", str(circuit), "--seed", "0"]) == 1
+        assert main(["simulate", str(circuit)]) == 0
 
     def test_bad_flag_returns_one(self, capsys):
         assert main(["grover-search"]) == 1

@@ -14,13 +14,12 @@ from gdict.grover import (
     Clause,
     clause_winners,
     diffuser,
-    hadamard_transform,
     optimal_rounds,
     phase_oracle,
     run_search,
     success_probability,
 )
-from gdict.sim import H, Register, X, apply_circuit, apply_gate, new_state
+from gdict.sim import Circuit, H, Register, X, apply_circuit, apply_gate, new_state
 
 
 class TestClause:
@@ -53,18 +52,18 @@ class TestClause:
 class TestHadamardTransform:
     def test_uniform_over_two_qubits(self):
         reg = Register("r", (0, 1))
-        state = apply_circuit(new_state(2), hadamard_transform(reg))
+        state = apply_circuit(new_state(2), Circuit(2, [H(k) for k in reg.qubits]))
         assert np.allclose(state.amplitudes, [0.5] * 4)
 
     def test_minus_state_from_one(self):
         reg = Register("r", (0,))
         state = new_state(1, 1)
-        apply_circuit(state, hadamard_transform(reg))
+        apply_circuit(state, Circuit(1, [H(k) for k in reg.qubits]))
         assert np.allclose(state.amplitudes, [2 ** -0.5, -(2 ** -0.5)])
 
     def test_three_qubit_amplitudes(self):
         reg = Register("r", (0, 1, 2))
-        state = apply_circuit(new_state(3), hadamard_transform(reg))
+        state = apply_circuit(new_state(3), Circuit(3, [H(k) for k in reg.qubits]))
         assert np.allclose(state.amplitudes, [8 ** -0.5] * 8)
 
 
@@ -132,7 +131,7 @@ def aligned(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
 class TestDiffuser:
     def test_uniform_is_fixed_point(self):
         reg = Register("r", (0, 1, 2))
-        state = apply_circuit(new_state(3), hadamard_transform(reg))
+        state = apply_circuit(new_state(3), Circuit(3, [H(k) for k in reg.qubits]))
         before = state.amplitudes.copy()
         apply_circuit(state, diffuser(reg))
         assert np.max(np.abs(aligned(state.amplitudes, before) - before)) < 1e-9

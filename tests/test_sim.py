@@ -174,6 +174,16 @@ class TestApplyCircuit:
         s = apply_circuit(new_state(3), Circuit(1, [X(0)]))
         assert s.amplitudes[1] == 1
 
+    def test_bad_gate_leaves_state_untouched(self):
+        # One basis state runs on the support path, a uniform state on the
+        # dense kernels; neither may apply the gates before the bad one.
+        uniform = apply_circuit(new_state(6), Circuit(6, [H(k) for k in range(6)]))
+        for s in (new_state(6, 0b101101), uniform):
+            before = s.amplitudes.copy()
+            with pytest.raises(ValueError):
+                apply_circuit(s, Circuit(6, [X(1), H(2), CNOT(0, 6)]))
+            assert np.array_equal(s.amplitudes, before)
+
 
 class TestInverse:
     def test_reverses_gate_list(self):
@@ -249,6 +259,59 @@ def test_determinism_and_kernel_parity():
                 apply_gate(ref, g)
             got = apply_circuit(new_state(q, basis, dtype=dtype), Circuit(q, gates))
             assert np.array_equal(got.amplitudes, ref.amplitudes)
+
+
+def reference_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """The gate's effect worked out from its own controls and targets, one
+    basis state at a time: a permutation for X, MCX and SWAP, a sign for Z
+    and MCZ, a 2x2 mix for H."""
+    out = np.zeros_like(amps)
+    s = amps.dtype.type(INV_SQRT2)
+    for i, a in enumerate(amps):
+        fires = all((i >> c & 1) == int(pos) for c, pos in gate.controls)
+        bit = [i >> t & 1 for t in gate.targets]
+        if gate.kind in ("X", "MCX"):
+            out[i ^ (1 << gate.targets[0]) if fires else i] = a
+        elif gate.kind == "SWAP":
+            ta, tb = gate.targets
+            out[i ^ ((1 << ta) | (1 << tb)) if bit[0] != bit[1] else i] = a
+        elif gate.kind in ("Z", "MCZ"):
+            out[i] = -a if fires and all(bit) else a
+        elif bit[0] == 0:  # H mixes |..0..> with its partner |..1..>
+            j = i | (1 << gate.targets[0])
+            out[i] = (a + amps[j]) * s
+            out[j] = (a - amps[j]) * s
+    return out
+
+
+def assert_matches_reference(got: np.ndarray, want: np.ndarray, gates) -> None:
+    if any(g.kind == "H" for g in gates):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    else:  # permutations and signs are exact
+        assert np.array_equal(got, want)
+
+
+def test_kernels_match_reference_per_gate_kind():
+    # Checks the gate plan both kernel sets read, which the parity test
+    # above cannot: a wrong plan would make the kernels agree on a wrong result.
+    rng = np.random.default_rng(17)
+    for dtype in (np.complex128, np.complex64):
+        for trial in range(120):
+            q = int(rng.integers(2, 6))
+            gates = random_circuit(rng, q, 12).gates + [MCX([], int(rng.integers(q)))]
+            amps = (rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)).astype(dtype)
+            state = sim.StateVector(q, amps.copy())
+            for g in gates:
+                want = reference_gate(state.amplitudes, g)
+                apply_gate(state, g)
+                assert_matches_reference(state.amplitudes, want, [g])
+            # apply_circuit from a basis state starts on the support kernels.
+            basis = int(rng.integers(1 << q))
+            want = new_state(q, basis, dtype=dtype).amplitudes
+            for g in gates:
+                want = reference_gate(want, g)
+            got = apply_circuit(new_state(q, basis, dtype=dtype), Circuit(q, gates))
+            assert_matches_reference(got.amplitudes, want, gates)
 
 
 class TestMarginal:
