@@ -1,13 +1,15 @@
 """State-vector simulation of reversible circuits.
 
-A StateVector holds all 2**q amplitudes.  ``apply_circuit`` checks every
-gate of a circuit before it changes the state, then runs gates on the
-state's nonzero support, the (basis index, amplitude) pairs, while that
-support holds at most SUPPORT_MAX_SHARE of the amplitudes; past that share
-it writes the support back and runs the remaining gates on the dense
-kernels that ``apply_gate`` uses.  Both kernel sets read one gate plan
-(``_gate_plan``), are plain numpy, and compute the same amplitudes bit for
-bit.
+A StateVector holds all 2**q amplitudes.  What a gate does is its plan
+(``Gate.plan``): an op with the bit masks of its controls, their pattern
+and its targets, computed on first use and kept on the gate.
+``apply_circuit`` checks every gate's qubit mask against the state before
+it changes the state, then runs gates on the state's nonzero support, the
+(basis index, amplitude) pairs, while that support holds at most
+SUPPORT_MAX_SHARE of the amplitudes; past that share it writes the support
+back and runs the remaining gates on the dense kernels that ``apply_gate``
+uses.  Both kernel sets read the plan, are plain numpy, and compute the
+same amplitudes bit for bit.
 
 Conventions used throughout the package:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +59,8 @@ class Register:
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"register {self.name!r} repeats a qubit")
+        if self.qubits and min(self.qubits) < 0:
+            raise ValueError(f"register {self.name!r} has negative qubit {min(self.qubits)}")
 
     def __len__(self) -> int:
         return len(self.qubits)
@@ -103,18 +107,34 @@ class Gate:
             raise ValueError("MCX takes exactly one target")
         if self.kind == "MCZ" and (nt != 0 or nc == 0):
             raise ValueError("MCZ takes control qubits only, at least one")
-        ctrl_qubits = [q for q, _ in self.controls]
-        if len(set(ctrl_qubits)) != nc or len(set(self.targets)) != nt:
+        ctrl_qubits = {q for q, _ in self.controls}
+        targets = set(self.targets)
+        if len(ctrl_qubits) != nc or len(targets) != nt:
             raise ValueError("gate repeats a qubit")
-        if set(ctrl_qubits) & set(self.targets):
+        if ctrl_qubits & targets:
             raise ValueError("control and target sets overlap")
+        low = min(ctrl_qubits | targets)  # every kind has a qubit by now
+        if low < 0:
+            raise ValueError(f"{self.kind} gate has negative qubit {low}")
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.controls) + self.targets
 
-    def inverse(self) -> "Gate":
-        return self  # every supported kind is self-inverse
+    @cached_property
+    def plan(self) -> tuple[str, int, int, int]:
+        """(op, control mask, control pattern under the mask, target bits),
+        which both kernel sets read: X/MCX flip the target bits where the
+        controls match; Z/MCZ negate where they match, Z's target counting
+        as a control.  ``mask | bits`` holds every qubit the gate touches."""
+        mask = sum(1 << c for c, _ in self.controls)
+        want = sum(1 << c for c, pos in self.controls if pos)
+        bits = sum(1 << t for t in self.targets)
+        if self.kind in ("X", "MCX"):
+            return ("flip", mask, want, bits)
+        if self.kind in ("Z", "MCZ"):
+            return ("negate", mask | bits, want | bits, 0)
+        return (self.kind, mask, want, bits)
 
 
 # Short constructors mirroring circuit-diagram vocabulary.
@@ -159,12 +179,9 @@ class Circuit:
     registers: dict[str, Register] = field(default_factory=dict)
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for reg in self.registers.values():
-            overlap = seen & set(reg.qubits)
-            if overlap:
-                raise ValueError(f"registers share qubits {sorted(overlap)}")
-            seen |= set(reg.qubits)
+        registers, self.registers = self.registers, {}
+        for reg in registers.values():
+            self.add_register(reg)
 
     def add(self, *gates: Gate) -> "Circuit":
         self.gates.extend(gates)
@@ -186,11 +203,7 @@ class Circuit:
 
 def inverse(circuit: Circuit) -> Circuit:
     """Reverse the gate list; every supported gate is self-inverse."""
-    return Circuit(
-        circuit.num_qubits,
-        [g.inverse() for g in reversed(circuit.gates)],
-        dict(circuit.registers),
-    )
+    return Circuit(circuit.num_qubits, circuit.gates[::-1], dict(circuit.registers))
 
 
 class StateVector:
@@ -224,9 +237,27 @@ def new_state(
         raise CapacityError(f"{num_qubits} qubits exceeds cap of {cap}")
     if not 0 <= basis_value < (1 << num_qubits):
         raise ValueError(f"basis value {basis_value} out of range for {num_qubits} qubits")
+    # The dense kernels and marginals make working copies up to the state's
+    # own size, so ask for twice the amplitudes' bytes.
+    need = 2 * np.dtype(dtype).itemsize << num_qubits
+    free = _free_memory_bytes()
+    if free is not None and need > free:
+        raise CapacityError(
+            f"{num_qubits}-qubit state needs {need} bytes with its working copies, "
+            f"but only {free} bytes of memory are free"
+        )
     amps = np.zeros(1 << num_qubits, dtype=dtype)
     amps[basis_value] = 1.0
     return StateVector(num_qubits, amps)
+
+
+def _free_memory_bytes() -> int | None:
+    # Physical memory not in use, about 1 us per read; None where the
+    # platform does not report it.
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return None
 
 
 def _check_qubits(qubits, num_qubits: int) -> None:
@@ -235,23 +266,14 @@ def _check_qubits(qubits, num_qubits: int) -> None:
             raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
 
 
-# What a gate does is decided here alone: the dense and the support kernels
-# both read this plan.  X/MCX flip the target bits where the controls match;
-# Z/MCZ negate where they match, Z's target counting as a control.
-@lru_cache(maxsize=1024)
-def _gate_plan(gate: Gate) -> tuple[str, int, int, int]:
-    # (op, control mask, control pattern under the mask, target bits).
-    # Sized for the distinct gates of one circuit, which repeat across
-    # Grover rounds and basis-state checks; a larger cache holding gates of
-    # past circuits raised peak RSS by about 2 MB on key recovery.
-    mask = sum(1 << c for c, _ in gate.controls)
-    want = sum(1 << c for c, pos in gate.controls if pos)
-    bits = sum(1 << t for t in gate.targets)
-    if gate.kind in ("X", "MCX"):
-        return ("flip", mask, want, bits)
-    if gate.kind in ("Z", "MCZ"):
-        return ("negate", mask | bits, want | bits, 0)
-    return (gate.kind, mask, want, bits)
+def _check_gates(gates, num_qubits: int) -> None:
+    # Qubits are never negative, so a gate fits the state exactly when its
+    # plan's qubit mask has no bit at num_qubits or above.
+    for gate in gates:
+        _, mask, _, bits = gate.plan
+        if (mask | bits) >> num_qubits:  # name the highest qubit outside
+            raise ValueError(f"qubit {(mask | bits).bit_length() - 1} out of range "
+                             f"for {num_qubits}-qubit state")
 
 
 # Dense amplitude kernels, used by ``apply_gate`` and by ``apply_circuit``
@@ -276,7 +298,7 @@ def _selector(num_qubits: int, mask: int, value: int) -> tuple:
 
 
 def _apply_gate_dense(amps: np.ndarray, q: int, gate: Gate) -> None:
-    op, mask, want, bits = _gate_plan(gate)
+    op, mask, want, bits = gate.plan
     view = amps.reshape((2,) * q)
     if op == "negate":
         view[_selector(q, mask, want)] *= -1
@@ -298,7 +320,7 @@ def _apply_gate_dense(amps: np.ndarray, q: int, gate: Gate) -> None:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the state."""
-    _check_qubits(gate.qubits, state.num_qubits)
+    _check_gates((gate,), state.num_qubits)
     _apply_gate_dense(state.amplitudes, state.num_qubits, gate)
     return state
 
@@ -316,7 +338,7 @@ SUPPORT_MAX_SHARE = 1 / 16
 def _apply_gate_support(idx: np.ndarray, vals: np.ndarray, gate: Gate):
     # The gate on the (basis index, amplitude) pairs of the nonzero
     # amplitudes; returns the new pairs, in no particular order.
-    op, mask, want, bits = _gate_plan(gate)
+    op, mask, want, bits = gate.plan
     if op == "flip":
         np.bitwise_xor(idx, bits, out=idx, where=(idx & mask) == want)
     elif op == "negate":
@@ -353,8 +375,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if circuit.num_qubits > q:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, state has {q}")
     gates = circuit.gates
-    for gate in gates:
-        _check_qubits(gate.qubits, q)
+    _check_gates(gates, q)
     amps = state.amplitudes
     limit = int(amps.size * SUPPORT_MAX_SHARE)
     done = 0
@@ -416,22 +437,20 @@ def gate_count(circuit: Circuit, decompose: bool = False) -> dict[str, int]:
     return out
 
 
-# Circuit text format: one gate per line, REG header lines, '#' comments.
+# Circuit text format: REG lines naming registers, '#' comment lines, and
+# one gate per line as KIND [controls] q..., the control list present
+# exactly for MCX and MCZ.  ``Gate`` checks how many qubits each kind takes.
 #   REG data q2,q3,q4
-#   H q3 | X q0 | Z q2 | SWAP q1 q4 | MCX [+q0,-q1] q5 | MCZ [+q0,-q3]
-
-def _controls_to_text(controls) -> str:
-    return "[" + ",".join(f"{'+' if p else '-'}q{q}" for q, p in controls) + "]"
+#   H q3 | X q0 | Z q2 | SWAP q1 q4 | MCX [+q0,-q1] q5 | MCX [] q2 | MCZ [+q0,-q3]
+_CONTROLLED = ("MCX", "MCZ")
 
 
 def gate_to_text(gate: Gate) -> str:
-    if gate.kind in ("H", "X", "Z"):
-        return f"{gate.kind} q{gate.targets[0]}"
-    if gate.kind == "SWAP":
-        return f"SWAP q{gate.targets[0]} q{gate.targets[1]}"
-    if gate.kind == "MCX":
-        return f"MCX {_controls_to_text(gate.controls)} q{gate.targets[0]}"
-    return f"MCZ {_controls_to_text(gate.controls)}"
+    words = [gate.kind]
+    if gate.kind in _CONTROLLED:
+        words.append("[" + ",".join(f"{'+' if p else '-'}q{q}" for q, p in gate.controls) + "]")
+    words += [f"q{t}" for t in gate.targets]
+    return " ".join(words)
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -465,57 +484,33 @@ def _parse_controls(token: str, line: int):
 
 def circuit_from_text(text: str) -> Circuit:
     """Parse the circuit text format; inverse of ``circuit_to_text``."""
-    gates: list[Gate] = []
-    registers: dict[str, Register] = {}
-    max_q = -1
+    circuit = Circuit(0)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        words = raw.split()
+        if not words or words[0].startswith("#"):
             continue
-        tokens = stripped.split()
-        op = tokens[0]
+        kind, args = words[0], words[1:]
         try:
-            if op == "REG":
-                if len(tokens) != 3:
+            if kind == "REG":
+                if len(args) != 2:
                     raise ParseError("REG takes a name and a qubit list", lineno)
-                name = tokens[1]
-                qubits = tuple(_parse_qubit(t, lineno) for t in tokens[2].split(","))
-                if name in registers:
-                    raise ParseError(f"duplicate register {name!r}", lineno)
-                registers[name] = Register(name, qubits)
-            elif op in ("H", "X", "Z"):
-                if len(tokens) != 2:
-                    raise ParseError(f"{op} takes one qubit", lineno)
-                gates.append(Gate(op, (_parse_qubit(tokens[1], lineno),)))
-            elif op == "SWAP":
-                if len(tokens) != 3:
-                    raise ParseError("SWAP takes two qubits", lineno)
-                gates.append(
-                    Gate("SWAP", (_parse_qubit(tokens[1], lineno), _parse_qubit(tokens[2], lineno)))
-                )
-            elif op == "MCX":
-                if len(tokens) != 3:
-                    raise ParseError("MCX takes a control list and a target", lineno)
-                gates.append(
-                    Gate("MCX", (_parse_qubit(tokens[2], lineno),), _parse_controls(tokens[1], lineno))
-                )
-            elif op == "MCZ":
-                if len(tokens) != 2:
-                    raise ParseError("MCZ takes a control list", lineno)
-                gates.append(Gate("MCZ", (), _parse_controls(tokens[1], lineno)))
+                qubits = tuple(_parse_qubit(t, lineno) for t in args[1].split(","))
+                circuit.add_register(Register(args[0], qubits))
             else:
-                raise ParseError(f"unknown directive {op!r}", lineno)
+                controls = ()
+                if kind in _CONTROLLED:
+                    controls = _parse_controls(args.pop(0) if args else "", lineno)
+                circuit.add(Gate(kind, tuple(_parse_qubit(t, lineno) for t in args), controls))
         except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        if gates:
-            max_q = max(max_q, max(gates[-1].qubits, default=-1))
-    for reg in registers.values():
-        max_q = max(max_q, max(reg.qubits))
-    if max_q < 0:
+    used = [q for g in circuit.gates for q in g.qubits]
+    used += [q for reg in circuit.registers.values() for q in reg.qubits]
+    if not used:
         raise ParseError("circuit text contains no gates or registers")
-    return Circuit(max_q + 1, gates, registers)
+    circuit.num_qubits = max(used) + 1
+    return circuit
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -215,6 +215,22 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_overlapping_registers_report_second_line(self, tmp_path, capsys):
+        path = tmp_path / "regs.qc"
+        path.write_text("REG a q0,q1\nH q0\nREG b q1,q2\n", encoding="utf-8")
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == "parse error: line 3: register 'b' overlaps 'a'\n"
+
+    def test_state_beyond_free_memory_exits_one(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "h.qc"
+        path.write_text("H q0\nH q9\n", encoding="utf-8")
+        # Ten qubits ask for twice 2**10 amplitudes: 32 KiB in double
+        # precision, 16 KiB in single.
+        monkeypatch.setattr("gdict.sim._free_memory_bytes", lambda: (1 << 15) - 1)
+        assert main(["simulate", str(path)]) == 1
+        assert "bytes of memory are free" in capsys.readouterr().err
+        assert main(["simulate", str(path), "--precision", "single"]) == 0
+
 
 class TestGatecount:
     def test_counts(self, tmp_path, db_file, capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,17 @@ class TestNewState:
         s = new_state(3, 1, dtype=np.complex64)
         assert s.amplitudes.dtype == np.complex64
 
+    def test_memory_guard(self, monkeypatch):
+        # Twice the amplitudes' bytes must be free: 2 * 16 * 2**12 for
+        # twelve qubits in double precision, half that in single.
+        monkeypatch.setattr(sim, "_free_memory_bytes", lambda: 1 << 17)
+        assert new_state(12).num_qubits == 12
+        assert new_state(13, dtype=np.complex64).num_qubits == 13
+        with pytest.raises(CapacityError, match="13-qubit state needs 262144 bytes"):
+            new_state(13)
+        monkeypatch.setattr(sim, "_free_memory_bytes", lambda: None)
+        assert new_state(13).num_qubits == 13  # platform without a reading
+
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
@@ -125,6 +139,22 @@ class TestApplyGate:
             MCZ([])
         with pytest.raises(ValueError):
             Gate("RY", (0,))
+
+    def test_negative_qubit_rejected(self):
+        for make in (lambda: X(-1), lambda: SWAP(0, -2), lambda: MCX([(-3, True)], 0),
+                     lambda: MCX([], -1), lambda: MCZ([(1, True), (-1, False)])):
+            with pytest.raises(ValueError, match="negative qubit"):
+                make()
+
+    def test_plan_lives_with_its_gate(self):
+        # The plan is kept on the gate, not in a cache that outlives it.
+        gate = MCX([(0, True), (1, False)], 2)
+        apply_circuit(new_state(3), Circuit(3, [gate]))
+        assert gate.plan == ("flip", 0b011, 0b001, 0b100)
+        ref = weakref.ref(gate)
+        del gate
+        gc.collect()
+        assert ref() is None
 
     def test_swap(self):
         s = new_state(2, 0b01)
@@ -436,6 +466,11 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             circuit_from_text("# nothing\n")
 
+    def test_overlapping_registers_name_second_line(self):
+        with pytest.raises(ParseError, match="register 'b' overlaps 'a'") as err:
+            circuit_from_text("REG a q0,q1\nH q0\nREG b q1,q2\n")
+        assert err.value.line == 3
+
 
 class TestRegisters:
     def test_value_helpers(self):
@@ -446,6 +481,10 @@ class TestRegisters:
     def test_duplicate_qubit_rejected(self):
         with pytest.raises(ValueError):
             Register("r", (1, 1))
+
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError, match="negative qubit -1"):
+            Register("r", (-1,))
 
     def test_circuit_register_overlap_rejected(self):
         c = Circuit(3)
