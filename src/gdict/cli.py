@@ -10,6 +10,7 @@ dropped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -132,13 +133,7 @@ def _cmd_grover_search(args) -> int:
         "clause": clause.to_pattern(),
         "mode": args.mode,
         "rounds": result.executed_rounds,
-        "plan": {
-            "search_space_size": plan.search_space_size,
-            "winner_count": plan.winner_count,
-            "theta0": plan.theta0,
-            "rounds": plan.rounds,
-            "predicted_success": plan.predicted_success,
-        },
+        "plan": dataclasses.asdict(plan),
         "distribution": _distribution_json(result.distribution),
         "top_index": result.top_index,
         "top_record": result.top_record,
@@ -319,16 +314,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except ParseError as exc:  # a ValueError, so it comes first
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CLIError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -22,36 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Database, build_dictionary, pad_database
-from .errors import NoWinnerError, UnsupportedModulusError
-from .grover import GroverPlan, amplify, plan_rounds, workspace_residual
+from .dictionary import Database, build_dictionary
+from .errors import UnsupportedModulusError
+from .grover import GroverPlan, amplify, plan_search, read_index
 from .modarith import is_supported_modulus, modexp_circuit, modexp_layout
-from .sim import (
-    Circuit,
-    Gate,
-    MCZ,
-    Register,
-    X,
-    apply_circuit,
-    gate_count,
-    marginal_distribution,
-    new_state,
-)
+from .sim import Circuit, Gate, MCZ, Register, X, gate_count
+# grover.read_index simulates; perfbench/tracing.py still patches these names here.
+from .sim import apply_circuit, marginal_distribution, new_state  # noqa: F401
 
 CIRCUIT_ORACLE = "circuit_oracle"
 PRECOMPUTED_ORACLE = "precomputed_oracle"
 ATTACK_MODES = (CIRCUIT_ORACLE, PRECOMPUTED_ORACLE)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -76,7 +57,7 @@ class DHParams:
     g: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != [self.p]:
             raise ValueError(f"modulus {self.p} is not prime")
         if not is_supported_modulus(self.p):
             raise UnsupportedModulusError(
@@ -150,18 +131,13 @@ def generate_candidates(params: DHParams, target_public: int, count: int, seed: 
         raise ValueError(f"count must be in [1, {params.p - 1}]")
     secret = discrete_log(params, target_public)
     rng = random.Random(seed)
-    pool = [x for x in range(params.p - 1) if x != secret]
-    chosen = rng.sample(pool, count - 1) + [secret]
+    # Draw positions among the p-2 other exponents and step each one past the
+    # secret: the same draws as sampling the list of those exponents, which
+    # would take O(p) memory (about 77 GB at p = 2**31 - 1).
+    chosen = [x + (x >= secret) for x in rng.sample(range(params.p - 2), count - 1)]
+    chosen.append(secret)
     rng.shuffle(chosen)
     return encode_candidates(params, chosen)
-
-
-def attack_winners(params: DHParams, target_public: int, padded: Database) -> list[int]:
-    """Indices of padded candidate records whose exponent hits the target."""
-    return [
-        i for i, r in enumerate(padded.records)
-        if pow(params.g, int(r, 2), params.p) == target_public
-    ]
 
 
 def _exact_match_mcz(register: Register, value: int) -> Gate:
@@ -171,13 +147,10 @@ def _exact_match_mcz(register: Register, value: int) -> Gate:
 
 def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet,
                  rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
-    # Padded candidates, winner indices, plan and rounds to execute.
-    padded = pad_database(candidates.database)
-    winners = attack_winners(params, target_public, padded)
-    if not winners:
-        raise NoWinnerError("no candidate exponent produces the target public value")
-    plan, executed = plan_rounds(1 << padded.m, len(winners), rounds)
-    return padded, winners, plan, executed
+    # The winners are the candidate exponents whose public value hits the target.
+    return plan_search(candidates.database,
+                       lambda x: pow(params.g, x, params.p) == target_public,
+                       rounds, "no candidate exponent produces the target public value")
 
 
 def build_attack_circuit(
@@ -204,7 +177,7 @@ def build_attack_circuit(
 
     dictionary = build_dictionary(padded)
     m, n = padded.m, padded.n
-    index_reg = Register("index", tuple(range(m)))
+    index_reg = dictionary.index
 
     if mode == PRECOMPUTED_ORACLE:
         x_reg = Register("x", tuple(range(m, m + n)))
@@ -254,23 +227,16 @@ def run_attack(
 
     The recovered secret is the candidate at the most probable index; the
     result also reports how cleanly the workspaces returned to their initial
-    values, and a residual above ``grover.workspace_residual``'s tolerance
-    (a broken uncomputation) raises RuntimeError, as in ``run_search``.
+    values, and a residual above ``grover.read_index``'s tolerance (a broken
+    uncomputation) raises RuntimeError, as in ``run_search``.
     """
     padded, winners, plan, executed = _plan_attack(params, target_public, candidates, rounds)
-
     circuit = build_attack_circuit(params, target_public, candidates, mode, rounds)
-    state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
-    apply_circuit(state, circuit)
-
     # Every register but the index is a workspace: A returns to 1, the rest to 0.
-    residual = workspace_residual(
-        [(marginal_distribution(state, reg), int(name == "A"))
-         for name, reg in circuit.registers.items() if name != "index"],
-        state.amplitudes.dtype, "workspaces failed to uncompute")
-
-    distribution = marginal_distribution(state, circuit.registers["index"])
-    top_index = max(distribution, key=lambda v: (distribution[v], -v))
+    workspaces = [(reg, int(name == "A")) for name, reg in circuit.registers.items()
+                  if name != "index"]
+    distribution, top_index, residual = read_index(
+        circuit, workspaces, dtype, max_qubits, "workspaces failed to uncompute")
     return AttackResult(
         recovered_secret=int(padded.records[top_index], 2),
         success_probability=float(sum(distribution[i] for i in winners)),

@@ -12,7 +12,7 @@ integer value equals the record read as a binary number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .logic import Cover, TruthTable, cover_to_gates, minimize
@@ -104,21 +104,12 @@ def column_truth_table(database: Database, column: int) -> TruthTable:
     return TruthTable(database.m, bits)
 
 
-def index_register(m: int) -> Register:
-    return Register("index", tuple(range(m)))
-
-
-def data_register(m: int, n: int) -> Register:
-    return Register("data", tuple(range(m, m + n)))
-
-
 @dataclass
 class DictionaryCircuit:
     """Synthesized mapping circuit plus its source covers for reporting."""
 
     circuit: Circuit
-    database: Database
-    covers: tuple[Cover, ...] = field(default_factory=tuple)
+    covers: tuple[Cover, ...]
 
     @property
     def index(self) -> Register:
@@ -142,12 +133,12 @@ def build_dictionary(database: Database) -> DictionaryCircuit:
         raise ValueError("database must be padded to a power of two first")
     m, n = database.m, database.n
     circuit = Circuit(m + n)
-    idx = circuit.add_register(index_register(m))
-    circuit.add_register(data_register(m, n))
+    idx = circuit.add_register(Register("index", tuple(range(m))))
+    circuit.add_register(Register("data", tuple(range(m, m + n))))
     covers = []
     for column in range(n):
         cover = minimize(column_truth_table(database, column))
         covers.append(cover)
         target = m + n - 1 - column
         circuit.extend(cover_to_gates(cover, idx, target))
-    return DictionaryCircuit(circuit, database, tuple(covers))
+    return DictionaryCircuit(circuit, tuple(covers))

@@ -2,11 +2,14 @@
 
 One search iteration applies the dictionary mapping, phases the data-register
 states satisfying the clause, unmaps (disentangling the data register), and
-reflects the index register about the uniform superposition.  ``amplify``
-assembles that loop for ``run_search`` and for the key-recovery attack in
-``gdict.dh``; only the marking differs between them.  The winner
-count is known classically (synthesis reads every record anyway), so the
-round count and success probability follow in closed form:
+reflects the index register about the uniform superposition.  A database
+search and the key-recovery attack in ``gdict.dh`` share every step but the
+marking: ``plan_search`` pads the database, finds its winners and plans the
+rounds, ``amplify`` assembles the loop, and ``read_index`` simulates it,
+checks the workspaces and reads the index register.  The winner count is
+known classically (synthesis reads every record anyway), so the round count
+and success probability follow in closed form (Boyer, Brassard, Høyer and
+Tapp, "Tight bounds on quantum searching", 1998):
 
     theta0 = arcsin(sqrt(M / N))
     p(R)   = sin((2R + 1) * theta0) ** 2
@@ -31,7 +34,6 @@ from .sim import (
     MCX,
     MCZ,
     Register,
-    StateVector,
     X,
     apply_circuit,
     gate_count,
@@ -120,14 +122,25 @@ def optimal_rounds(N: int, M: int) -> GroverPlan:
     return GroverPlan(N, M, theta0, rounds, success_probability(N, M, rounds))
 
 
-def plan_rounds(N: int, M: int, rounds: int | None) -> tuple[GroverPlan, int]:
-    """The optimal plan for M winners among N, and the rounds to execute:
-    ``rounds`` when given, else the plan's."""
-    plan = optimal_rounds(N, M)
+def plan_search(database: Database, is_winner, rounds: int | None,
+                failure: str) -> tuple[Database, list[int], GroverPlan, int]:
+    """Pad ``database``, find its winners and plan the rounds.
+
+    The winners are the padded indices whose record value satisfies
+    ``is_winner``; with none, NoWinnerError carries the ``failure`` message.
+    Returns the padded database, the winner indices, the optimal plan for
+    that winner count and the rounds to execute: ``rounds`` when given, else
+    the plan's.
+    """
+    padded = pad_database(database)
+    winners = [i for i, r in enumerate(padded.records) if is_winner(int(r, 2))]
+    if not winners:
+        raise NoWinnerError(failure)
+    plan = optimal_rounds(1 << padded.m, len(winners))
     executed = plan.rounds if rounds is None else rounds
     if executed < 0:
         raise ValueError("round count must be >= 0")
-    return plan, executed
+    return padded, winners, plan, executed
 
 
 def phase_oracle(clause: Clause, data_register: Register, mode: str = PHASE_FLIP,
@@ -214,26 +227,28 @@ def amplify(circuit: Circuit, index: Register, dictionary: Circuit, mark: list[G
     return iteration
 
 
-def workspace_residual(expected: list[tuple[dict[int, float], int]], dtype,
-                       failure: str) -> float:
-    """Largest 1 - p(want) over (marginal distribution, want) pairs, at least 0.0.
+def read_index(circuit: Circuit, workspaces: list[tuple[Register, int]], dtype,
+               max_qubits: int | None, failure: str) -> tuple[dict[int, float], int, float]:
+    """Simulate ``circuit`` from |0> and read its "index" register.
 
-    A correct uncomputation returns every workspace to its value; a
-    residual above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
-    otherwise) raises RuntimeError with the ``failure`` message.  The 0.0
-    floor keeps a marginal that sums to 1.0000000000000004 from reporting
-    a negative residual.
+    A correct uncomputation returns each ``(register, value)`` workspace to
+    its value.  The residual is the largest 1 - p(value), floored at 0.0 so
+    that a marginal summing to 1.0000000000000004 does not report a negative
+    one; above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
+    otherwise) it raises RuntimeError with the ``failure`` message.  Returns
+    the index distribution, its most probable value (the lowest on a tie)
+    and the residual.
     """
-    residual = max([0.0] + [1.0 - dist.get(want, 0.0) for dist, want in expected])
-    tolerance = 1e-9 if np.dtype(dtype) == np.complex128 else 1e-4
+    state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
+    apply_circuit(state, circuit)
+    residual = max([0.0] + [1.0 - marginal_distribution(state, register).get(value, 0.0)
+                            for register, value in workspaces])
+    tolerance = 1e-9 if state.amplitudes.dtype == np.complex128 else 1e-4
     if residual > tolerance:
         raise RuntimeError(f"{failure} (residual {residual:.3e})")
-    return residual
-
-
-def clause_winners(database: Database, clause: Clause) -> list[int]:
-    """Indices of (padded) records satisfying the clause."""
-    return [i for i, r in enumerate(database.records) if clause.matches(int(r, 2))]
+    distribution = marginal_distribution(state, circuit.registers["index"])
+    top = max(distribution, key=lambda v: (distribution[v], -v))
+    return distribution, top, residual
 
 
 def run_search(
@@ -242,18 +257,15 @@ def run_search(
     rounds: int | None = None,
     oracle_mode: str = PHASE_FLIP,
     *,
-    override_winner_count: int | None = None,
     dtype=np.complex128,
     max_qubits: int | None = None,
 ) -> SearchResult:
     """Plan and simulate a full dictionary search.
 
     The winner count for planning comes from a classical scan of the padded
-    records (``override_winner_count`` replaces it for experiments; the
-    executed circuit is unaffected).  The index register ends up measured as
-    a marginal distribution; the data register is checked to have returned
-    to |0> so the diffuser acted on an unentangled index register every
-    round.
+    records.  The index register ends up measured as a marginal
+    distribution; the data register is checked to have returned to |0> so
+    the diffuser acted on an unentangled index register every round.
     """
     if oracle_mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {oracle_mode!r}")
@@ -261,15 +273,9 @@ def run_search(
         raise ValueError(
             f"clause width {clause.num_bits} != record width {database.n}"
         )
-    padded = pad_database(database)
-    winners = clause_winners(padded, clause)
-    if not winners:
-        raise NoWinnerError(f"no record satisfies clause {clause.to_pattern()!r}")
-
+    padded, winners, plan, executed = plan_search(
+        database, clause.matches, rounds, f"no record satisfies clause {clause.to_pattern()!r}")
     m, n = padded.m, padded.n
-    planned_m = len(winners) if override_winner_count is None else override_winner_count
-    plan, executed = plan_rounds(1 << m, planned_m, rounds)
-
     kickback = oracle_mode == ANCILLA_KICKBACK
     num_qubits = m + n + (1 if kickback else 0)
 
@@ -292,13 +298,8 @@ def run_search(
     mark = phase_oracle(clause, data_reg, oracle_mode, ancilla).gates if executed else []
     iteration = amplify(full, index_reg, dictionary.circuit, mark, executed, prepare)
 
-    state = new_state(num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
-    apply_circuit(state, full)
-    workspace_residual([(marginal_distribution(state, data_reg), 0)],
-                       state.amplitudes.dtype, "data register failed to disentangle")
-
-    distribution = marginal_distribution(state, index_reg)
-    top_index = max(distribution, key=lambda v: (distribution[v], -v))
+    distribution, top_index, _ = read_index(
+        full, [(data_reg, 0)], dtype, max_qubits, "data register failed to disentangle")
     return SearchResult(
         distribution=distribution,
         top_index=top_index,

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import REFERENCE_RECORDS, random_database
 from gdict.cli import main
+from gdict.sim import MAX_QUBITS_ENV
 
 
 @pytest.fixture
@@ -147,6 +149,29 @@ class TestDHAttack:
         report = read_json(tmp_path / "attack.json")
         assert {v: float(p) for v, p in rows.items()} == report["distribution"]
         assert "recovered exponent 4" in capsys.readouterr().out
+
+    def test_mersenne_31_stops_at_cap_in_bounded_memory(self):
+        # p = 2**31 - 1 with 32 candidates needs 36 qubits.  Drawing the
+        # candidates must not list all p - 1 exponents (about 77 GB) first.
+        root = Path(__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != MAX_QUBITS_ENV}
+        env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread keeps the import small
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        limit = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdict.cli", "dh-attack", "--mode", "precomputed",
+             "--p", "2147483647", "--g", "7", "--secret", "123456", "--count", "32"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert "exceeds cap" in proc.stderr
 
     def test_rejects_nonprime(self, capsys):
         assert main(["dh-attack", "--p", "15", "--g", "2", "--secret", "1"]) == 1

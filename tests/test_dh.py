@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,16 @@ class TestDiscreteLog:
             discrete_log(params, 7)
 
 
+def list_candidates(p: int, secret: int, count: int, seed: int) -> tuple[int, ...]:
+    # The draw generate_candidates made from a list of every other exponent,
+    # kept as the reference for the draws it makes without that list.
+    rng = random.Random(seed)
+    pool = [x for x in range(p - 1) if x != secret]
+    chosen = rng.sample(pool, count - 1) + [secret]
+    rng.shuffle(chosen)
+    return tuple(chosen)
+
+
 class TestCandidates:
     def test_contains_true_dlog(self, params):
         cands = generate_candidates(params, 4, 4, seed=1)
@@ -112,6 +125,29 @@ class TestCandidates:
         for seed in range(5):
             cands = generate_candidates(params, 3, 6, seed=seed)
             assert all(0 <= c <= 5 for c in cands.candidates)
+
+    def test_same_draws_as_list_reference(self):
+        for p, g in ((7, 3), (31, 3), (127, 3), (8191, 17)):
+            params = DHParams(p, g)
+            counts = {1, 2, min(6, p - 1), min(40, p - 1)} | ({p - 1} if p < 1000 else set())
+            for secret in sorted({0, 1, p // 3, p - 3, p - 2}):
+                target = public_value(params, secret)
+                for count in sorted(counts):
+                    for seed in (0, 1, 12345):
+                        got = generate_candidates(params, target, count, seed).candidates
+                        assert got == list_candidates(p, secret, count, seed), (p, secret, count, seed)
+
+    def test_memory_independent_of_modulus(self):
+        params = DHParams(131071, 3)
+        target = public_value(params, 5)
+        tracemalloc.start()
+        try:
+            generate_candidates(params, target, 32, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A list of all p - 1 exponents would take about 5 MB here.
+        assert peak < 100_000
 
 
 class TestAttack:

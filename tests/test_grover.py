@@ -6,13 +6,12 @@ import pytest
 import gdict.grover as grover
 from conftest import random_database
 from gdict.cli import main
-from gdict.dictionary import Database, pad_database
+from gdict.dictionary import Database
 from gdict.errors import NoWinnerError
 from gdict.grover import (
     ANCILLA_KICKBACK,
     PHASE_FLIP,
     Clause,
-    clause_winners,
     diffuser,
     optimal_rounds,
     phase_oracle,
@@ -293,17 +292,6 @@ class TestRunSearch:
         assert main(["grover-search", str(db_path), "1010110"]) == 2
         assert "verification failure" in capsys.readouterr().err
 
-    def test_winner_count_override_changes_plan_only(self, reference_db):
-        clause = Clause.from_pattern("1010110")
-        result = run_search(reference_db, clause, override_winner_count=2)
-        assert result.plan.winner_count == 2
-        assert result.winner_indices == (2,)  # actual winners unaffected
-        # the override changed the planned rounds, and the simulation still
-        # matches the closed form for the true M=1
-        assert result.winner_probability == pytest.approx(
-            success_probability(4, 1, result.executed_rounds), abs=1e-9
-        )
-
 
 def test_one_iteration_geometry():
     # After one oracle+diffuser pass on a fresh uniform state the winner
@@ -346,8 +334,3 @@ def test_pipeline_matches_analytic_curve_small_grid():
             assert result.winner_probability == pytest.approx(
                 success_probability(N, M, R), abs=1e-6
             )
-
-
-def test_winners_helper(reference_db):
-    padded = pad_database(reference_db)
-    assert clause_winners(padded, Clause.from_pattern("xxxxxx0")) == [0, 1, 2]
