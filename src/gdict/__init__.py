@@ -59,9 +59,6 @@ from .grover import (
     success_probability,
 )
 from .modarith import (
-    AdderLayout,
-    ModExpLayout,
-    ModularLayout,
     adder,
     carry_block,
     controlled_modular_multiplier,

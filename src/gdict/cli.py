@@ -95,7 +95,7 @@ def _cmd_synth_dict(args) -> int:
     save_circuit(built.circuit, args.out)
     counts = gate_count(built.circuit)
     sidecar = {
-        "records": database.original_count,
+        "records": len(database.records),
         "padded_records": len(padded.records),
         "m": padded.m,
         "n": padded.n,
@@ -125,7 +125,7 @@ def _cmd_grover_search(args) -> int:
     plan = result.plan
     report = {
         "database": {
-            "records": database.original_count,
+            "records": len(database.records),
             "padded_records": plan.search_space_size,
             "n": database.n,
             "m": database.m,
@@ -144,7 +144,7 @@ def _cmd_grover_search(args) -> int:
     }
     top_p = result.distribution[result.top_index]
     lines = [
-        f"clause {clause.to_pattern()} over {database.original_count} records",
+        f"clause {clause.to_pattern()} over {len(database.records)} records",
         f"rounds {result.executed_rounds} (planned {plan.rounds}, "
         f"predicted success {plan.predicted_success:.6f})",
         f"top index {result.top_index} -> record {result.top_record} (p = {top_p:.6f})",

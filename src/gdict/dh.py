@@ -1,9 +1,10 @@
 """Toy Diffie-Hellman key recovery: search a candidate-exponent database.
 
 Preprocessing (the number-field-sieve stage of a real attack) is replaced by
-a brute-force-backed candidate generator: it returns a list of exponents
-guaranteed to contain a discrete log of the target public value.  The
-quantum stage then searches that list.  Two oracle realizations exist:
+a candidate generator that solves the discrete log classically
+(Pohlig-Hellman, cheap here because p-1 is smooth): it returns a list of
+exponents guaranteed to contain a discrete log of the target public value.
+The quantum stage then searches that list.  Two oracle realizations exist:
 
 * ``circuit_oracle`` runs the full construction: map index to candidate
   exponent, run modular exponentiation in-circuit, phase-flip on the public
@@ -17,6 +18,7 @@ Both must and do produce identical index distributions where both fit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -25,7 +27,7 @@ import numpy as np
 from .dictionary import Database, build_dictionary
 from .errors import UnsupportedModulusError
 from .grover import GroverPlan, amplify, plan_search, read_index
-from .modarith import is_supported_modulus, modexp_circuit, modexp_layout
+from .modarith import is_supported_modulus, modexp_circuit
 from .sim import Circuit, Gate, MCZ, Register, X, gate_count
 # grover.read_index simulates; perfbench/tracing.py still patches these names here.
 from .sim import apply_circuit, marginal_distribution, new_state  # noqa: F401
@@ -49,6 +51,34 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
+# Miller-Rabin with the first twelve primes as bases is deterministic below
+# 3.18e23 (Sorenson and Webster, Math. Comp. 86, 2017), far past any modulus
+# a state vector can search.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DHParams:
     """Public modulus and base; p must be a Mersenne prime, g a primitive root."""
@@ -57,7 +87,7 @@ class DHParams:
     g: int
 
     def __post_init__(self):
-        if _prime_factors(self.p) != [self.p]:
+        if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         if not is_supported_modulus(self.p):
             raise UnsupportedModulusError(
@@ -91,16 +121,48 @@ def shared_secret(params: DHParams, own_secret: int, other_public: int) -> int:
     return pow(other_public, own_secret, params.p)
 
 
-def discrete_log(params: DHParams, target_public: int) -> int:
-    """Brute-force x in [0, p-2] with g**x = target_public (toy scale only)."""
-    if not 1 <= target_public < params.p:
-        raise ValueError(f"{target_public} is not in the group mod {params.p}")
+def _subgroup_log(base: int, target: int, order: int, p: int) -> int:
+    # Baby-step giant-step: d in [0, order) with base**d = target mod p, for
+    # a base of the given order, in about 2 * sqrt(order) products.
+    step = math.isqrt(order - 1) + 1
+    baby = {}
     value = 1
-    for x in range(params.p - 1):
-        if value == target_public:
-            return x
-        value = (value * params.g) % params.p
-    raise ValueError(f"{target_public} has no discrete log (g not a generator?)")
+    for j in range(step):
+        baby.setdefault(value, j)
+        value = value * base % p
+    giant = pow(base, -step, p)
+    value = target
+    for i in range(step):
+        if value in baby:
+            return i * step + baby[value]
+        value = value * giant % p
+    raise ValueError(f"{target} is not a power of {base} mod {p}")
+
+
+def discrete_log(params: DHParams, target_public: int) -> int:
+    """x in [0, p-2] with g**x = target_public, by Pohlig-Hellman.
+
+    For each largest prime power q**e dividing the group order p-1, raising
+    g and the target to (p-1) / q**e projects them into the subgroup of
+    order q**e, where baby-step giant-step finds x mod q**e; the Chinese
+    remainder theorem joins the residues (Pohlig and Hellman, IEEE Trans.
+    Inf. Theory 24(1), 1978).  The cost follows the square root of p-1's
+    largest prime power: 331 at p = 2**31 - 1, 1321 at p = 2**61 - 1.
+    """
+    p, g = params.p, params.g
+    if not 1 <= target_public < p:
+        raise ValueError(f"{target_public} is not in the group mod {p}")
+    order = p - 1
+    x, modulus = 0, 1
+    for q in _prime_factors(order):
+        power = q
+        while order % (power * q) == 0:
+            power *= q
+        cofactor = order // power
+        residue = _subgroup_log(pow(g, cofactor, p), pow(target_public, cofactor, p), power, p)
+        x += modulus * ((residue - x) * pow(modulus, -1, power) % power)
+        modulus *= power
+    return x
 
 
 @dataclass(frozen=True)
@@ -188,7 +250,7 @@ def build_attack_circuit(
         return circuit
 
     # The exponent register "x" sits on the qubits the dictionary writes.
-    exp = modexp_circuit(params.g, params.p, n, modexp_layout(params.p, n, base=m))
+    exp = modexp_circuit(params.g, params.p, n, base=m)
     circuit = Circuit(exp.num_qubits, registers={"index": index_reg, **exp.registers})
     a_reg = exp.registers["A"]
     mark = exp.gates + [_exact_match_mcz(a_reg, target_public)] + exp.gates[::-1]

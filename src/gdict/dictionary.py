@@ -24,7 +24,6 @@ class Database:
     """Fixed-width bit-string records plus the derived index width."""
 
     records: tuple[str, ...]
-    original_count: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.records:
@@ -39,8 +38,6 @@ class Database:
                 raise ValueError(f"record {r!r} has characters outside 0/1")
         if len(self.records) > 1 << 16:
             raise ValueError("database exceeds 2**16 records")
-        if self.original_count is None:
-            object.__setattr__(self, "original_count", len(self.records))
 
     @property
     def n(self) -> int:
@@ -86,11 +83,13 @@ def pad_database(database: Database) -> Database:
 
     Duplication rather than don't-cares guarantees every index maps to a
     genuine record, so a clause can never fire on garbage; the round planner
-    counts winners over the padded list to stay consistent.
+    counts winners over the padded list to stay consistent.  The result does
+    not remember the original count: a caller that reports it reads
+    ``len(database.records)`` before padding.
     """
     target = 1 << database.m
     padded = database.records + (database.records[0],) * (target - len(database.records))
-    return Database(padded, original_count=database.original_count)
+    return Database(padded)
 
 
 def column_truth_table(database: Database, column: int) -> TruthTable:

@@ -264,8 +264,9 @@ def run_search(
 
     The winner count for planning comes from a classical scan of the padded
     records.  The index register ends up measured as a marginal
-    distribution; the data register is checked to have returned to |0> so
-    the diffuser acted on an unentangled index register every round.
+    distribution; every other register (the data register and, in
+    ancilla-kickback mode, the ancilla) is checked to have returned to |0>
+    so the diffuser acted on an unentangled index register every round.
     """
     if oracle_mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {oracle_mode!r}")
@@ -298,8 +299,11 @@ def run_search(
     mark = phase_oracle(clause, data_reg, oracle_mode, ancilla).gates if executed else []
     iteration = amplify(full, index_reg, dictionary.circuit, mark, executed, prepare)
 
+    # One joint register over every workspace keeps one marginal per search.
+    workspace = Register("workspace", tuple(
+        q for name, reg in full.registers.items() if name != "index" for q in reg.qubits))
     distribution, top_index, _ = read_index(
-        full, [(data_reg, 0)], dtype, max_qubits, "data register failed to disentangle")
+        full, [(workspace, 0)], dtype, max_qubits, "data register failed to disentangle")
     return SearchResult(
         distribution=distribution,
         top_index=top_index,

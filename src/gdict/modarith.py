@@ -18,11 +18,13 @@ The family builds up in four stages:
   workspaces, and un-multiply by the modular inverse of g**(2**i) to clear
   the second workspace.  The result always lands in register A.
 
-Each stage has a layout (``AdderLayout``, ``ModularLayout``,
-``MultiplierLayout``, ``ModExpLayout``) that owns the circuit's registers:
-its ``registers`` tuple is the one place that names them, orders them and
-assigns their qubits.  The constructors declare exactly those registers, and
-the exhaustive checks address them by name.
+Each constructor places its own registers on consecutive qubits from qubit 0
+(``modexp_circuit`` from a ``base`` offset, which key recovery sets to the
+width of its index register) and declares them on the circuit, so callers and
+the exhaustive checks read them by name from ``circuit.registers``.  The
+constructors' docstrings give the names in qubit order.  The small layouts
+(``AdderLayout``, ``ModularLayout``, ``MultiplierLayout``) only group a
+stage's registers for the gate builders, which reuse them stage by stage.
 
 Supported moduli are N = 2**k - 1 (validated); a and b occupy k qubits.  The
 borrow-flag logic is only claimed for this family here; exhaustive
@@ -71,29 +73,13 @@ def mod_inverse(a: int, N: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {N} (gcd = {math.gcd(a, N)})") from exc
 
 
-# Layouts.  Each layout owns its circuit's registers: ``registers`` gives
-# their names, their order and their qubits, and the constructors declare
-# exactly those.  The default allocators pack them contiguously from a base
-# offset and name them where they allocate them.
+# Layouts: a stage's registers, grouped for the gate builders.
 
 @dataclass(frozen=True)
 class AdderLayout:
     x: Register  # n qubits, left unchanged
     y: Register  # n + 1 qubits, receives the sum; top qubit is the carry out
     c: Register  # n scratch carry qubits, restored to |0>
-
-    @property
-    def width(self) -> int:
-        return len(self.x.qubits)
-
-    @property
-    def registers(self) -> tuple[Register, ...]:
-        return (self.x, self.y, self.c)
-
-    def validate(self) -> None:
-        n = self.width
-        if len(self.y.qubits) != n + 1 or len(self.c.qubits) != n:
-            raise ValueError("adder layout sizes must be x:n, y:n+1, c:n")
 
 
 @dataclass(frozen=True)
@@ -102,53 +88,12 @@ class ModularLayout:
     m: Register     # n qubits holding the modulus throughout
     flag: Register  # one ancilla qubit, enters and exits |0>
 
-    @property
-    def registers(self) -> tuple[Register, ...]:
-        return self.adder.registers + (self.m, self.flag)
-
-    def validate(self) -> None:
-        self.adder.validate()
-        if len(self.m.qubits) != self.adder.width or len(self.flag.qubits) != 1:
-            raise ValueError("modular layout sizes must be m:n (the adder width), flag:1")
-
 
 @dataclass(frozen=True)
 class MultiplierLayout:
     ctrl: int        # outer control: multiply when 1, copy input when 0
     x: Register      # input register (unchanged)
     inner: ModularLayout  # inner.adder.x holds shifted constants, inner.adder.y accumulates
-
-    @property
-    def registers(self) -> tuple[Register, ...]:
-        return (Register("ctrl", (self.ctrl,)), self.x) + self.inner.registers
-
-    def validate(self) -> None:
-        self.inner.validate()
-        if len(self.x.qubits) > self.inner.adder.width:
-            raise ValueError("input register wider than the accumulator")
-
-
-@dataclass(frozen=True)
-class ModExpLayout:
-    x: Register      # exponent input
-    a: Register      # workspace A: enters |1>, exits holding the result
-    inner: ModularLayout  # inner.adder.x is the constant temp
-
-    @property
-    def b(self) -> Register:
-        """Workspace B, the inner adder's sum register: enters and exits |0>
-        (its top bit is adder scratch)."""
-        return self.inner.adder.y
-
-    @property
-    def registers(self) -> tuple[Register, ...]:
-        inner = self.inner
-        return (self.x, self.a, self.b, inner.adder.x, inner.adder.c, inner.m, inner.flag)
-
-    def validate(self) -> None:
-        self.inner.validate()
-        if len(self.a.qubits) != self.inner.adder.width:
-            raise ValueError("workspace A must match the modulus width")
 
 
 def _pack(base: int, *sizes: tuple[str, int]) -> list[Register]:
@@ -160,35 +105,10 @@ def _pack(base: int, *sizes: tuple[str, int]) -> list[Register]:
     return registers
 
 
-def adder_layout(n: int, base: int = 0) -> AdderLayout:
-    return AdderLayout(*_pack(base, ("x", n), ("y", n + 1), ("c", n)))
-
-
-def modular_layout(n: int, base: int = 0) -> ModularLayout:
-    x, y, c, m, flag = _pack(base, ("x", n), ("y", n + 1), ("c", n), ("m", n), ("ctrl", 1))
-    return ModularLayout(AdderLayout(x, y, c), m, flag)
-
-
-def multiplier_layout(n: int) -> MultiplierLayout:
-    x, t, b, c, m, flag = _pack(
-        1, ("x", n), ("t", n), ("B", n + 1), ("c", n), ("m", n), ("mctrl", 1)
-    )
-    return MultiplierLayout(0, x, ModularLayout(AdderLayout(t, b, c), m, flag))
-
-
-def modexp_layout(N: int, exponent_bits: int, base: int = 0) -> ModExpLayout:
-    n = N.bit_length()
-    x, a, b, t, c, m, flag = _pack(
-        base, ("x", exponent_bits), ("A", n), ("B", n + 1), ("t", n), ("c", n), ("m", n),
-        ("mctrl", 1),
-    )
-    return ModExpLayout(x, a, ModularLayout(AdderLayout(t, b, c), m, flag))
-
-
-def _circuit(layout, gates: list[Gate]) -> Circuit:
-    # The circuit over the layout's registers, declared in the layout's order.
-    circuit = Circuit(max(q for reg in layout.registers for q in reg.qubits) + 1, gates)
-    for reg in layout.registers:
+def _circuit(registers: list[Register], gates: list[Gate]) -> Circuit:
+    # The circuit over ``registers``, declared in their order.
+    circuit = Circuit(max(q for reg in registers for q in reg.qubits) + 1, gates)
+    for reg in registers:
         circuit.add_register(reg)
     return circuit
 
@@ -210,7 +130,7 @@ def sum_block(c_i: int, x_i: int, y_i: int) -> list[Gate]:
 
 
 def _adder_gates(layout: AdderLayout) -> list[Gate]:
-    n = layout.width
+    n = len(layout.x.qubits)
     xq, yq, cq = layout.x.qubits, layout.y.qubits, layout.c.qubits
     carry_out = lambda i: cq[i + 1] if i < n - 1 else yq[n]
     gates: list[Gate] = []
@@ -226,16 +146,13 @@ def _adder_gates(layout: AdderLayout) -> list[Gate]:
     return gates
 
 
-def adder(n: int, layout: AdderLayout | None = None) -> Circuit:
+def adder(n: int) -> Circuit:
     """|a>|b>|0> -> |a>|a+b>|0>; the inverse subtracts, flagging overflow on
-    y's top qubit."""
+    y's top qubit.  Registers x (n qubits), y (n + 1), c (n) from qubit 0."""
     if n < 1:
         raise ValueError("adder needs n >= 1")
-    layout = layout or adder_layout(n)
-    layout.validate()
-    if layout.width != n:
-        raise ValueError(f"layout is {layout.width} bits wide, expected {n}")
-    return _circuit(layout, _adder_gates(layout))
+    registers = _pack(0, ("x", n), ("y", n + 1), ("c", n))
+    return _circuit(registers, _adder_gates(AdderLayout(*registers)))
 
 
 def _modulus_fan(ctrl: int, m: Register, N: int) -> list[Gate]:
@@ -267,18 +184,19 @@ def _modadd_gates(layout: ModularLayout, N: int) -> list[Gate]:
     return gates
 
 
-def modular_adder(n: int, N: int, layout: ModularLayout | None = None) -> Circuit:
+def modular_adder(n: int, N: int) -> Circuit:
     """|a>|b>|N>|0> -> |a>|(a+b) mod N>|N>|0> for a, b < N = 2**n - 1.
 
-    The modulus register must be pre-loaded with N and comes back holding N;
-    the flag ancilla enters and exits |0>.
+    Registers x, y (the adder's, y receiving the sum), c, m and the flag
+    "ctrl", from qubit 0.  The modulus register m must be pre-loaded with N
+    and comes back holding N; the flag enters and exits |0>.
     """
     k = require_supported_modulus(N)
     if k != n:
-        raise ValueError(f"modulus {N} needs {k}-bit registers, layout asks for {n}")
-    layout = layout or modular_layout(n)
-    layout.validate()
-    return _circuit(layout, _modadd_gates(layout, N))
+        raise ValueError(f"modulus {N} needs {k}-bit registers, not {n}")
+    registers = _pack(0, ("x", n), ("y", n + 1), ("c", n), ("m", n), ("ctrl", 1))
+    x, y, c, m, flag = registers
+    return _circuit(registers, _modadd_gates(ModularLayout(AdderLayout(x, y, c), m, flag), N))
 
 
 def _modmul_gates(layout: MultiplierLayout, a: int, N: int) -> list[Gate]:
@@ -301,30 +219,35 @@ def _modmul_gates(layout: MultiplierLayout, a: int, N: int) -> list[Gate]:
     return gates
 
 
-def controlled_modular_multiplier(a: int, N: int, layout: MultiplierLayout | None = None) -> Circuit:
+def controlled_modular_multiplier(a: int, N: int) -> Circuit:
     """ctrl=1: |x>|0> -> |x>|a*x mod N>; ctrl=0: |x>|0> -> |x>|x>.
 
-    The modulus register must be pre-loaded with N.  ``a`` must be < N; when
-    chained inside modular exponentiation it must also be coprime with N so
-    the clearing multiplier exists.
+    Registers ctrl, x, the constant temp t, the accumulator B, c, m and the
+    flag "mctrl", from qubit 0.  The modulus register m must be pre-loaded
+    with N.  ``a`` must be < N; when chained inside modular exponentiation it
+    must also be coprime with N so the clearing multiplier exists.
     """
-    require_supported_modulus(N)
+    n = require_supported_modulus(N)
     if not 0 <= a < N:
         raise ValueError(f"multiplier constant {a} out of range for modulus {N}")
-    layout = layout or multiplier_layout(N.bit_length())
-    layout.validate()
-    return _circuit(layout, _modmul_gates(layout, a, N))
+    registers = _pack(
+        0, ("ctrl", 1), ("x", n), ("t", n), ("B", n + 1), ("c", n), ("m", n), ("mctrl", 1)
+    )
+    ctrl, x, t, b, c, m, flag = registers
+    layout = MultiplierLayout(ctrl.qubits[0], x, ModularLayout(AdderLayout(t, b, c), m, flag))
+    return _circuit(registers, _modmul_gates(layout, a, N))
 
 
-def _modexp_gates(layout: ModExpLayout, g: int, N: int) -> list[Gate]:
-    inner = layout.inner
+def _modexp_gates(x: Register, a: Register, inner: ModularLayout, g: int, N: int) -> list[Gate]:
+    # Workspace B is the inner adder's sum register; its top bit is adder scratch.
+    b = inner.adder.y
     gates: list[Gate] = []
     gates += [X(q) for j, q in enumerate(inner.m.qubits) if N >> j & 1]  # m <- N
     factor = g % N
-    for xq in layout.x.qubits:
-        bit_layout = MultiplierLayout(xq, layout.a, inner)
+    for xq in x.qubits:
+        bit_layout = MultiplierLayout(xq, a, inner)
         gates += _modmul_gates(bit_layout, factor, N)
-        gates += [SWAP(a_q, b_q) for a_q, b_q in zip(layout.a.qubits, layout.b.qubits)]
+        gates += [SWAP(a_q, b_q) for a_q, b_q in zip(a.qubits, b.qubits)]
         clear = _modmul_gates(bit_layout, mod_inverse(factor, N), N)
         gates += [gate for gate in reversed(clear)]
         factor = (factor * factor) % N
@@ -332,22 +255,29 @@ def _modexp_gates(layout: ModExpLayout, g: int, N: int) -> list[Gate]:
     return gates
 
 
-def modexp_circuit(g: int, N: int, exponent_bits: int, layout: ModExpLayout | None = None) -> Circuit:
+def modexp_circuit(g: int, N: int, exponent_bits: int, base: int = 0) -> Circuit:
     """|x>|A=1>|B=0> -> |x>|A = g**x mod N>|B=0>, workspaces restored.
 
-    Caller sets A to |1>; the modulus register is loaded and cleared inside
-    the circuit, so every other register starts and ends at |0>.  The result
-    always lands in A: each exponent bit runs multiply, swap, un-multiply,
-    which leaves the running product in A and a clean |0> in B.
+    Registers x, A, B, the constant temp t, c, m and the flag "mctrl", on
+    consecutive qubits from ``base``; the qubits below ``base`` are left
+    free for the caller.  Caller sets A to |1>; the modulus register is
+    loaded and cleared inside the circuit, so every other register starts
+    and ends at |0>.  The result always lands in A: each exponent bit runs
+    multiply, swap, un-multiply, which leaves the running product in A and a
+    clean |0> in B.
     """
-    require_supported_modulus(N)
+    n = require_supported_modulus(N)
     if math.gcd(g, N) != 1:
         raise ValueError(f"base {g} shares a factor with modulus {N}")
     if exponent_bits < 1:
         raise ValueError("need at least one exponent bit")
-    layout = layout or modexp_layout(N, exponent_bits)
-    layout.validate()
-    return _circuit(layout, _modexp_gates(layout, g, N))
+    registers = _pack(
+        base, ("x", exponent_bits), ("A", n), ("B", n + 1), ("t", n), ("c", n), ("m", n),
+        ("mctrl", 1),
+    )
+    x, a, b, t, c, m, flag = registers
+    inner = ModularLayout(AdderLayout(t, b, c), m, flag)
+    return _circuit(registers, _modexp_gates(x, a, inner, g, N))
 
 
 # Exhaustive verification against classical integer arithmetic.

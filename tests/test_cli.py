@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,21 @@ class TestDHAttack:
         assert proc.returncode == 1
         assert "exceeds cap" in proc.stderr
 
+    @pytest.mark.parametrize("p, g, secret", [
+        (2**31 - 1, 7, 2147483000),
+        (2**61 - 1, 37, 2305843009213693000),
+    ], ids=["2^31-1", "2^61-1"])
+    def test_mersenne_prime_fails_fast_at_cap(self, monkeypatch, capsys, p, g, secret):
+        # 32 candidates of 31 or 61 bits need 36 or 66 qubits.  Checking
+        # the prime, solving the discrete log and drawing the candidates
+        # must not stand between the run and the cap's refusal.
+        monkeypatch.delenv(MAX_QUBITS_ENV, raising=False)
+        start = time.perf_counter()
+        assert main(["dh-attack", "--p", str(p), "--g", str(g), "--secret", str(secret),
+                     "--count", "32", "--mode", "precomputed"]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert "exceeds cap of 26" in capsys.readouterr().err
+
     def test_rejects_nonprime(self, capsys):
         assert main(["dh-attack", "--p", "15", "--g", "2", "--secret", "1"]) == 1
         assert "not prime" in capsys.readouterr().err
@@ -252,6 +268,7 @@ class TestSimulate:
         # Ten qubits ask for twice 2**10 amplitudes: 32 KiB in double
         # precision, 16 KiB in single.
         monkeypatch.setattr("gdict.sim._free_memory_bytes", lambda: (1 << 15) - 1)
+        monkeypatch.setattr("gdict.sim._available_memory_bytes", lambda: (1 << 15) - 1)
         assert main(["simulate", str(path)]) == 1
         assert "bytes of memory are free" in capsys.readouterr().err
         assert main(["simulate", str(path), "--precision", "single"]) == 0

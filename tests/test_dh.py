@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,9 @@ class TestParams:
     def test_not_prime(self):
         with pytest.raises(ValueError):
             DHParams(15, 2)
+        # 2**11 - 1 = 23 * 89 passes the base-2 Miller-Rabin round.
+        with pytest.raises(ValueError, match="not prime"):
+            DHParams(2047, 2)
 
     def test_not_mersenne(self):
         with pytest.raises(UnsupportedModulusError):
@@ -80,6 +84,23 @@ class TestDiscreteLog:
     def test_inverts_public_value(self, params):
         for secret in range(6):  # exponents 0..5 are unique mod ord(g)=6
             assert discrete_log(params, public_value(params, secret)) == secret
+
+    @pytest.mark.parametrize("p, g", [(7, 3), (31, 3), (127, 3), (8191, 17)])
+    def test_every_target_matches_brute_force(self, p, g):
+        params = DHParams(p, g)
+        table = {pow(g, x, p): x for x in range(p - 1)}
+        assert len(table) == p - 1
+        assert {t: discrete_log(params, t) for t in range(1, p)} == table
+
+    @pytest.mark.parametrize("p, g", [(2**31 - 1, 7), (2**61 - 1, 37)])
+    def test_mersenne_primes_in_milliseconds(self, p, g):
+        # Brute force would take minutes at 2**31 - 1; Pohlig-Hellman needs
+        # about sqrt(331) and sqrt(1321) steps for the largest prime powers.
+        start = time.perf_counter()
+        params = DHParams(p, g)
+        for secret in (0, 1, 123456789, p - 2):
+            assert discrete_log(params, public_value(params, secret)) == secret
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_non_group_element(self, params):
         with pytest.raises(ValueError):

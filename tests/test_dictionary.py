@@ -49,7 +49,6 @@ class TestPadding:
         db = Database(("00", "01", "10"))
         padded = pad_database(db)
         assert padded.records == ("00", "01", "10", "00")
-        assert padded.original_count == 3
 
     def test_single_record(self):
         padded = pad_database(Database(("1",)))

@@ -292,6 +292,24 @@ class TestRunSearch:
         assert main(["grover-search", str(db_path), "1010110"]) == 2
         assert "verification failure" in capsys.readouterr().err
 
+    def test_dirty_kickback_ancilla_raises(self, reference_db, tmp_path, monkeypatch, capsys):
+        # A kickback search whose ancilla ends in |1>, as if the closing X of
+        # its preparation were dropped, must fail like a dirty data register.
+        amplify = grover.amplify
+
+        def leave_ancilla_set(circuit, *args):
+            iteration = amplify(circuit, *args)
+            circuit.add(X(circuit.registers["ancilla"].qubits[0]))  # undoes the closing X
+            return iteration
+
+        monkeypatch.setattr(grover, "amplify", leave_ancilla_set)
+        with pytest.raises(RuntimeError, match="disentangle"):
+            run_search(reference_db, Clause.from_pattern("1010110"), oracle_mode=ANCILLA_KICKBACK)
+        db_path = tmp_path / "db.txt"
+        db_path.write_text("\n".join(reference_db.records) + "\n", encoding="utf-8")
+        assert main(["grover-search", str(db_path), "1010110", "--mode", ANCILLA_KICKBACK]) == 2
+        assert "verification failure" in capsys.readouterr().err
+
 
 def test_one_iteration_geometry():
     # After one oracle+diffuser pass on a fresh uniform state the winner

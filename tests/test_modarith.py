@@ -4,9 +4,7 @@ import pytest
 import gdict.modarith as modarith
 from gdict.errors import UnsupportedModulusError
 from gdict.modarith import (
-    AdderLayout,
     adder,
-    adder_layout,
     carry_block,
     check_adder,
     check_modexp,
@@ -16,14 +14,11 @@ from gdict.modarith import (
     is_supported_modulus,
     mod_inverse,
     modexp_circuit,
-    modexp_layout,
     modular_adder,
-    modular_layout,
-    multiplier_layout,
     sum_block,
     require_supported_modulus,
 )
-from gdict.sim import Circuit, Register, apply_circuit, apply_gate, H, inverse, new_state
+from gdict.sim import Circuit, apply_circuit, apply_gate, H, inverse, new_state
 
 
 def run_classical(circuit: Circuit, basis: int) -> int:
@@ -70,36 +65,27 @@ class TestAdder:
         assert report.cases == (1 << n) ** 2
 
     def test_three_plus_five(self):
-        layout = adder_layout(3)
-        circuit = adder(3, layout)
-        out = run_classical(circuit, layout.x.place_value(3) | layout.y.place_value(5))
-        assert layout.y.value_of(out) == 8
-        assert layout.c.value_of(out) == 0
+        circuit = adder(3)
+        x, y, c = (circuit.registers[name] for name in ("x", "y", "c"))
+        out = run_classical(circuit, x.place_value(3) | y.place_value(5))
+        assert y.value_of(out) == 8
+        assert c.value_of(out) == 0
 
     def test_inverse_subtracts(self):
         report = check_adder(3, inverse_direction=True)
         assert report.passed, report.failures[:5]
 
     def test_inverse_composition_identity_exhaustive(self):
-        layout = adder_layout(3)
-        circuit = adder(3, layout)
+        circuit = adder(3)
+        x, y = circuit.registers["x"], circuit.registers["y"]
         inv = inverse(circuit)
         for a in range(8):
             for b in range(8):
-                basis = layout.x.place_value(a) | layout.y.place_value(b)
+                basis = x.place_value(a) | y.place_value(b)
                 state = new_state(circuit.num_qubits, basis)
                 apply_circuit(state, circuit)
                 apply_circuit(state, inv)
                 assert state.amplitudes[basis] == 1
-
-    def test_layout_validation(self):
-        bad = AdderLayout(
-            Register("x", (0, 1)), Register("y", (2, 3)), Register("c", (4, 5))
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
-        with pytest.raises(ValueError):
-            adder(2, adder_layout(3))
 
 
 class TestModularAdder:
@@ -113,12 +99,11 @@ class TestModularAdder:
         assert report.passed, report.failures[:5]
 
     def test_additive_identity(self):
-        layout = modular_layout(3)
-        circuit = modular_adder(3, 7, layout)
+        circuit = modular_adder(3, 7)
+        y, m = circuit.registers["y"], circuit.registers["m"]
         for k in range(7):
-            basis = layout.adder.y.place_value(k) | layout.m.place_value(7)
-            out = run_classical(circuit, basis)
-            assert layout.adder.y.value_of(out) == k
+            out = run_classical(circuit, y.place_value(k) | m.place_value(7))
+            assert y.value_of(out) == k
 
     def test_unsupported_modulus(self):
         with pytest.raises(UnsupportedModulusError):
@@ -141,34 +126,33 @@ class TestModularMultiplier:
         assert report.cases == 3 * 2 * 7
 
     def test_identity_constant(self):
-        layout = multiplier_layout(3)
-        circuit = controlled_modular_multiplier(1, 7, layout)
-        ctrl = Register("ctrl", (layout.ctrl,))
+        circuit = controlled_modular_multiplier(1, 7)
+        registers = circuit.registers
         for x in range(7):
-            basis = ctrl.place_value(1) | layout.x.place_value(x) | \
-                layout.inner.m.place_value(7)
+            basis = registers["ctrl"].place_value(1) | registers["x"].place_value(x) | \
+                registers["m"].place_value(7)
             out = run_classical(circuit, basis)
-            assert layout.inner.adder.y.value_of(out) == x
+            assert registers["B"].value_of(out) == x
 
     def test_copy_when_control_clear(self):
-        layout = multiplier_layout(3)
-        circuit = controlled_modular_multiplier(3, 7, layout)
+        circuit = controlled_modular_multiplier(3, 7)
+        registers = circuit.registers
         for x in range(7):
-            basis = layout.x.place_value(x) | layout.inner.m.place_value(7)
+            basis = registers["x"].place_value(x) | registers["m"].place_value(7)
             out = run_classical(circuit, basis)
-            assert layout.inner.adder.y.value_of(out) == x
+            assert registers["B"].value_of(out) == x
 
     def test_constant_out_of_range(self):
         with pytest.raises(ValueError):
             controlled_modular_multiplier(7, 7)
 
     def test_example_three_times_four(self):
-        layout = multiplier_layout(3)
-        circuit = controlled_modular_multiplier(3, 7, layout)
-        ctrl = Register("ctrl", (layout.ctrl,))
-        basis = ctrl.place_value(1) | layout.x.place_value(4) | layout.inner.m.place_value(7)
+        circuit = controlled_modular_multiplier(3, 7)
+        registers = circuit.registers
+        basis = registers["ctrl"].place_value(1) | registers["x"].place_value(4) | \
+            registers["m"].place_value(7)
         out = run_classical(circuit, basis)
-        assert layout.inner.adder.y.value_of(out) == 5  # 12 mod 7
+        assert registers["B"].value_of(out) == 5  # 12 mod 7
 
 
 class TestModInverse:
@@ -195,24 +179,23 @@ class TestModExp:
         assert report.cases == 8
 
     def test_powers_table(self):
-        layout = modexp_layout(7, 3)
-        circuit = modexp_circuit(3, 7, 3, layout)
+        circuit = modexp_circuit(3, 7, 3)
+        x_reg, a, b = (circuit.registers[name] for name in ("x", "A", "B"))
         for x, want in enumerate([1, 3, 2, 6, 4, 5, 1, 3]):
-            basis = layout.x.place_value(x) | layout.a.place_value(1)
-            out = run_classical(circuit, basis)
-            assert layout.a.value_of(out) == want
-            assert layout.b.value_of(out) == 0
+            out = run_classical(circuit, x_reg.place_value(x) | a.place_value(1))
+            assert a.value_of(out) == want
+            assert b.value_of(out) == 0
 
     def test_gcd_requirement(self):
         with pytest.raises(ValueError):
             modexp_circuit(7, 7, 3)
 
     def test_inverse_composition(self):
-        layout = modexp_layout(7, 3)
-        circuit = modexp_circuit(3, 7, 3, layout)
+        circuit = modexp_circuit(3, 7, 3)
+        x_reg, a = circuit.registers["x"], circuit.registers["A"]
         inv = inverse(circuit)
         for x in (0, 3, 5, 7):
-            basis = layout.x.place_value(x) | layout.a.place_value(1)
+            basis = x_reg.place_value(x) | a.place_value(1)
             state = new_state(circuit.num_qubits, basis)
             apply_circuit(state, circuit)
             apply_circuit(state, inv)
@@ -221,17 +204,45 @@ class TestModExp:
     def test_superposition_linearity(self):
         # Uniform superposition over exponents must produce one branch per x
         # with amplitude 2**(-3/2), exponent kept alongside the result.
-        layout = modexp_layout(7, 3)
-        circuit = modexp_circuit(3, 7, 3, layout)
-        state = new_state(circuit.num_qubits, layout.a.place_value(1))
-        for q in layout.x.qubits:
+        circuit = modexp_circuit(3, 7, 3)
+        x_reg, a = circuit.registers["x"], circuit.registers["A"]
+        state = new_state(circuit.num_qubits, a.place_value(1))
+        for q in x_reg.qubits:
             apply_gate(state, H(q))
         apply_circuit(state, circuit)
         scale = 8 ** 0.5
         for x in range(8):
-            pos = layout.x.place_value(x) | layout.a.place_value(pow(3, x, 7))
+            pos = x_reg.place_value(x) | a.place_value(pow(3, x, 7))
             assert abs(state.amplitudes[pos] * scale - 1) < 1e-9
         assert abs(state.norm() - 1) < 1e-9
+
+
+class TestRegisterPlacement:
+    # Each constructor packs its registers in this order onto consecutive
+    # qubits, from qubit 0 or from modexp's base; the checks, key recovery and
+    # callers read them by name, so names, widths and order are pinned here.
+    @pytest.mark.parametrize("build, base, registers", [
+        (lambda: adder(3), 0, [("x", 3), ("y", 4), ("c", 3)]),
+        (lambda: modular_adder(3, 7), 0,
+         [("x", 3), ("y", 4), ("c", 3), ("m", 3), ("ctrl", 1)]),
+        (lambda: controlled_modular_multiplier(3, 7), 0,
+         [("ctrl", 1), ("x", 3), ("t", 3), ("B", 4), ("c", 3), ("m", 3), ("mctrl", 1)]),
+        (lambda: modexp_circuit(3, 7, 3), 0,
+         [("x", 3), ("A", 3), ("B", 4), ("t", 3), ("c", 3), ("m", 3), ("mctrl", 1)]),
+        (lambda: modexp_circuit(3, 7, 3, base=5), 5,
+         [("x", 3), ("A", 3), ("B", 4), ("t", 3), ("c", 3), ("m", 3), ("mctrl", 1)]),
+    ], ids=["adder", "modadd", "modmul", "modexp", "modexp-base5"])
+    def test_names_widths_order_and_qubits(self, build, base, registers):
+        circuit = build()
+        got = [(name, len(reg.qubits)) for name, reg in circuit.registers.items()]
+        assert got == registers
+        first = base
+        for reg in circuit.registers.values():
+            assert reg.qubits == tuple(range(first, first + len(reg.qubits)))
+            first += len(reg.qubits)
+        assert circuit.num_qubits == first
+        used = {q for gate in circuit.gates for q in gate.qubits}
+        assert min(used) >= base
 
 
 class TestChecksCatchDirtyWorkspace:

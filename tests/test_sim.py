@@ -1,4 +1,5 @@
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -92,12 +93,33 @@ class TestNewState:
         # Twice the amplitudes' bytes must be free: 2 * 16 * 2**12 for
         # twelve qubits in double precision, half that in single.
         monkeypatch.setattr(sim, "_free_memory_bytes", lambda: 1 << 17)
+        monkeypatch.setattr(sim, "_available_memory_bytes", lambda: 1 << 17)
         assert new_state(12).num_qubits == 12
         assert new_state(13, dtype=np.complex64).num_qubits == 13
         with pytest.raises(CapacityError, match="13-qubit state needs 262144 bytes"):
             new_state(13)
         monkeypatch.setattr(sim, "_free_memory_bytes", lambda: None)
         assert new_state(13).num_qubits == 13  # platform without a reading
+
+    def test_memory_guard_counts_reclaimable_memory(self, monkeypatch):
+        # 13 qubits in double precision need 2**18 bytes: more than MemFree
+        # here, less than MemAvailable, so the state is allocated.  Without
+        # a MemAvailable reading the guard falls back to MemFree.
+        monkeypatch.setattr(sim, "_free_memory_bytes", lambda: 1 << 17)
+        monkeypatch.setattr(sim, "_available_memory_bytes", lambda: 1 << 19)
+        assert new_state(13).num_qubits == 13
+        with pytest.raises(CapacityError, match="only 524288 bytes of memory are free"):
+            new_state(15)
+        monkeypatch.setattr(sim, "_available_memory_bytes", lambda: None)
+        with pytest.raises(CapacityError, match="only 131072 bytes of memory are free"):
+            new_state(13)
+
+    def test_available_memory_reading(self):
+        available = sim._available_memory_bytes()
+        if os.path.exists("/proc/meminfo"):
+            assert available > 0
+        else:
+            assert available is None
 
 
 class TestApplyGate:
