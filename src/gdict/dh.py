@@ -28,7 +28,7 @@ from .dictionary import Database, build_dictionary
 from .errors import UnsupportedModulusError
 from .grover import GroverPlan, amplify, plan_search, read_index
 from .modarith import is_supported_modulus, modexp_circuit
-from .sim import Circuit, Gate, MCZ, Register, X, gate_count
+from .sim import Circuit, MCZ, Register, X, gate_count
 # grover.read_index simulates; perfbench/tracing.py still patches these names here.
 from .sim import apply_circuit, marginal_distribution, new_state  # noqa: F401
 
@@ -79,6 +79,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# An attack searches the exponent register plus at least one index qubit,
+# and an int64 basis index addresses at most 62 qubits, so no wider modulus
+# can ever be searched.  Refusing one early also spares the primitive-root
+# check from factoring its p-1, which can take seconds or never finish.
+MAX_MODULUS_BITS = 61
+
+
 @dataclass(frozen=True)
 class DHParams:
     """Public modulus and base; p must be a Mersenne prime, g a primitive root."""
@@ -93,6 +100,9 @@ class DHParams:
             raise UnsupportedModulusError(
                 f"modulus {self.p} is not of the form 2**k - 1"
             )
+        if self.p.bit_length() > MAX_MODULUS_BITS:
+            raise ValueError(f"modulus {self.p} has {self.p.bit_length()} bits, past the "
+                             f"{MAX_MODULUS_BITS}-bit limit on searchable moduli")
         if not 1 < self.g < self.p:
             raise ValueError(f"base {self.g} out of range for modulus {self.p}")
         order = self.p - 1
@@ -202,11 +212,6 @@ def generate_candidates(params: DHParams, target_public: int, count: int, seed: 
     return encode_candidates(params, chosen)
 
 
-def _exact_match_mcz(register: Register, value: int) -> Gate:
-    controls = [(q, bool(value >> j & 1)) for j, q in enumerate(register.qubits)]
-    return MCZ(controls)
-
-
 def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet,
                  rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
     # The winners are the candidate exponents whose public value hits the target.
@@ -245,7 +250,7 @@ def build_attack_circuit(
         x_reg = Register("x", tuple(range(m, m + n)))
         circuit = Circuit(m + n, registers={"index": index_reg, "x": x_reg})
         winner_values = sorted({int(padded.records[i], 2) for i in winners})
-        mark = [_exact_match_mcz(x_reg, v) for v in winner_values]
+        mark = [MCZ(x_reg.controls(v)) for v in winner_values]
         amplify(circuit, index_reg, dictionary.circuit, mark, executed)
         return circuit
 
@@ -253,8 +258,8 @@ def build_attack_circuit(
     exp = modexp_circuit(params.g, params.p, n, base=m)
     circuit = Circuit(exp.num_qubits, registers={"index": index_reg, **exp.registers})
     a_reg = exp.registers["A"]
-    mark = exp.gates + [_exact_match_mcz(a_reg, target_public)] + exp.gates[::-1]
-    circuit.add(X(a_reg.qubits[0]))  # workspace A enters |1>
+    mark = exp.gates + [MCZ(a_reg.controls(target_public))] + exp.gates[::-1]
+    circuit.add(*map(X, a_reg.ones(1)))  # workspace A enters |1>
     amplify(circuit, index_reg, dictionary.circuit, mark, executed)
     return circuit
 
@@ -287,18 +292,19 @@ def run_attack(
 ) -> AttackResult:
     """Simulate the attack circuit and read the index-register distribution.
 
-    The recovered secret is the candidate at the most probable index; the
-    result also reports how cleanly the workspaces returned to their initial
-    values, and a residual above ``grover.read_index``'s tolerance (a broken
-    uncomputation) raises RuntimeError, as in ``run_search``.
+    The recovered secret is the candidate at the most probable index.  Every
+    qubit outside the index register must return to its start: workspace A
+    to 1 in circuit mode, all else to 0.  The result reports the residual
+    weight outside that pattern, and a residual above ``grover.read_index``'s
+    tolerance (a broken uncomputation) raises RuntimeError, as in
+    ``run_search``.
     """
     padded, winners, plan, executed = _plan_attack(params, target_public, candidates, rounds)
     circuit = build_attack_circuit(params, target_public, candidates, mode, rounds)
-    # Every register but the index is a workspace: A returns to 1, the rest to 0.
-    workspaces = [(reg, int(name == "A")) for name, reg in circuit.registers.items()
-                  if name != "index"]
+    # Every qubit outside the index returns to 0, but for workspace A's 1.
+    start = circuit.registers["A"].place_value(1) if mode == CIRCUIT_ORACLE else 0
     distribution, top_index, residual = read_index(
-        circuit, workspaces, dtype, max_qubits, "workspaces failed to uncompute")
+        circuit, start, dtype, max_qubits, "workspaces failed to uncompute")
     return AttackResult(
         recovered_secret=int(padded.records[top_index], 2),
         success_probability=float(sum(distribution[i] for i in winners)),

@@ -6,10 +6,11 @@ reflects the index register about the uniform superposition.  A database
 search and the key-recovery attack in ``gdict.dh`` share every step but the
 marking: ``plan_search`` pads the database, finds its winners and plans the
 rounds, ``amplify`` assembles the loop, and ``read_index`` simulates it,
-checks the workspaces and reads the index register.  The winner count is
-known classically (synthesis reads every record anyway), so the round count
-and success probability follow in closed form (Boyer, Brassard, Høyer and
-Tapp, "Tight bounds on quantum searching", 1998):
+checks that every qubit outside the index came back to its start and reads
+the index register.  The winner count is known classically (synthesis
+reads every record anyway), so the round count and success probability
+follow in closed form (Boyer, Brassard, Høyer and Tapp, "Tight bounds on
+quantum searching", 1998):
 
     theta0 = arcsin(sqrt(M / N))
     p(R)   = sin((2R + 1) * theta0) ** 2
@@ -158,11 +159,7 @@ def phase_oracle(clause: Clause, data_register: Register, mode: str = PHASE_FLIP
         raise ValueError("data register narrower than the clause")
     if mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
-    controls = [
-        (data_register.qubits[k], bool(clause.target_value >> k & 1))
-        for k in range(clause.num_bits)
-        if clause.mask >> k & 1
-    ]
+    controls = data_register.controls(clause.target_value, clause.mask)
     if mode == PHASE_FLIP:
         gates = [MCZ(controls)]
         top = max(q for q, _ in controls)
@@ -184,7 +181,7 @@ def diffuser(register: Register) -> Circuit:
     for any register width, including a single qubit.
     """
     hs = [H(q) for q in register.qubits]
-    mcz = MCZ([(q, False) for q in register.qubits])
+    mcz = MCZ(register.controls(0))
     circuit = Circuit(max(register.qubits) + 1, hs + [mcz] + list(hs))
     return circuit
 
@@ -227,13 +224,14 @@ def amplify(circuit: Circuit, index: Register, dictionary: Circuit, mark: list[G
     return iteration
 
 
-def read_index(circuit: Circuit, workspaces: list[tuple[Register, int]], dtype,
-               max_qubits: int | None, failure: str) -> tuple[dict[int, float], int, float]:
+def read_index(circuit: Circuit, start: int, dtype, max_qubits: int | None,
+               failure: str) -> tuple[dict[int, float], int, float]:
     """Simulate ``circuit`` from |0> and read its "index" register.
 
-    A correct uncomputation returns each ``(register, value)`` workspace to
-    its value.  The residual is the largest 1 - p(value), floored at 0.0 so
-    that a marginal summing to 1.0000000000000004 does not report a negative
+    A correct run leaves every qubit outside the index register in the basis
+    pattern ``start``, so the 2**m amplitudes at ``index value | start``
+    carry the whole norm.  The residual is 1 minus their weight, floored at
+    0.0 so that a weight of 1.0000000000000004 does not report a negative
     one; above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
     otherwise) it raises RuntimeError with the ``failure`` message.  Returns
     the index distribution, its most probable value (the lowest on a tie)
@@ -241,12 +239,13 @@ def read_index(circuit: Circuit, workspaces: list[tuple[Register, int]], dtype,
     """
     state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, circuit)
-    residual = max([0.0] + [1.0 - marginal_distribution(state, register).get(value, 0.0)
-                            for register, value in workspaces])
+    index = circuit.registers["index"]
+    clean = state.amplitudes[index.place_value(np.arange(1 << len(index))) | start]
+    residual = max(0.0, 1.0 - float(np.sum(np.abs(clean) ** 2)))
     tolerance = 1e-9 if state.amplitudes.dtype == np.complex128 else 1e-4
     if residual > tolerance:
         raise RuntimeError(f"{failure} (residual {residual:.3e})")
-    distribution = marginal_distribution(state, circuit.registers["index"])
+    distribution = marginal_distribution(state, index)
     top = max(distribution, key=lambda v: (distribution[v], -v))
     return distribution, top, residual
 
@@ -264,7 +263,7 @@ def run_search(
 
     The winner count for planning comes from a classical scan of the padded
     records.  The index register ends up measured as a marginal
-    distribution; every other register (the data register and, in
+    distribution; every other qubit (the data register and, in
     ancilla-kickback mode, the ancilla) is checked to have returned to |0>
     so the diffuser acted on an unentangled index register every round.
     """
@@ -298,12 +297,8 @@ def run_search(
     # and has no oracle, so the oracle is built only for rounds that run.
     mark = phase_oracle(clause, data_reg, oracle_mode, ancilla).gates if executed else []
     iteration = amplify(full, index_reg, dictionary.circuit, mark, executed, prepare)
-
-    # One joint register over every workspace keeps one marginal per search.
-    workspace = Register("workspace", tuple(
-        q for name, reg in full.registers.items() if name != "index" for q in reg.qubits))
     distribution, top_index, _ = read_index(
-        full, [(workspace, 0)], dtype, max_qubits, "data register failed to disentangle")
+        full, 0, dtype, max_qubits, "data register failed to disentangle")
     return SearchResult(
         distribution=distribution,
         top_index=top_index,

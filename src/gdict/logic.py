@@ -282,10 +282,5 @@ def cover_to_gates(cover: Cover, index_register: Register, target: int) -> list[
         if cube.mask == 0:
             gates.append(X(target))
             continue
-        controls = [
-            (index_register.qubits[i], bool(cube.value >> i & 1))
-            for i in range(cube.num_inputs)
-            if cube.mask >> i & 1
-        ]
-        gates.append(MCX(controls, target))
+        gates.append(MCX(index_register.controls(cube.value, cube.mask), target))
     return gates

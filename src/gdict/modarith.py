@@ -155,11 +155,6 @@ def adder(n: int) -> Circuit:
     return _circuit(registers, _adder_gates(AdderLayout(*registers)))
 
 
-def _modulus_fan(ctrl: int, m: Register, N: int) -> list[Gate]:
-    # Flips m between |N> and |0>; one CNOT per set bit of N.
-    return [CNOT(ctrl, m.qubits[j]) for j in range(len(m.qubits)) if N >> j & 1]
-
-
 def _modadd_gates(layout: ModularLayout, N: int) -> list[Gate]:
     ad = layout.adder
     y_top = ad.y.qubits[-1]
@@ -169,7 +164,7 @@ def _modadd_gates(layout: ModularLayout, N: int) -> list[Gate]:
     m_adder = AdderLayout(layout.m, ad.y, ad.c)
     add_m = _adder_gates(m_adder)
     sub_m = [g for g in reversed(add_m)]
-    fan = _modulus_fan(flag, layout.m, N)
+    fan = [CNOT(flag, q) for q in layout.m.ones(N)]  # flips m between |N> and |0>
 
     gates: list[Gate] = []
     gates += add_x                                    # y = a + b
@@ -206,11 +201,7 @@ def _modmul_gates(layout: MultiplierLayout, a: int, N: int) -> list[Gate]:
     gates: list[Gate] = []
     for j, xq in enumerate(layout.x.qubits):
         const = (a << j) % N
-        load = [
-            CCX(layout.ctrl, xq, temp.qubits[k])
-            for k in range(len(temp.qubits))
-            if const >> k & 1
-        ]
+        load = [CCX(layout.ctrl, xq, q) for q in temp.ones(const)]
         gates += load
         gates += _modadd_gates(inner, N)
         gates += load  # constants XOR back out; the adder left temp unchanged
@@ -242,7 +233,7 @@ def _modexp_gates(x: Register, a: Register, inner: ModularLayout, g: int, N: int
     # Workspace B is the inner adder's sum register; its top bit is adder scratch.
     b = inner.adder.y
     gates: list[Gate] = []
-    gates += [X(q) for j, q in enumerate(inner.m.qubits) if N >> j & 1]  # m <- N
+    gates += [X(q) for q in inner.m.ones(N)]  # m <- N
     factor = g % N
     for xq in x.qubits:
         bit_layout = MultiplierLayout(xq, a, inner)
@@ -251,7 +242,7 @@ def _modexp_gates(x: Register, a: Register, inner: ModularLayout, g: int, N: int
         clear = _modmul_gates(bit_layout, mod_inverse(factor, N), N)
         gates += [gate for gate in reversed(clear)]
         factor = (factor * factor) % N
-    gates += [X(q) for j, q in enumerate(inner.m.qubits) if N >> j & 1]  # m -> |0>
+    gates += [X(q) for q in inner.m.ones(N)]  # m -> |0>
     return gates
 
 

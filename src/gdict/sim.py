@@ -15,7 +15,10 @@ Conventions used throughout the package:
 
 * Bit order is LSB-first: bit k of a basis-state integer is the state of
   qubit k.  A register's integer value likewise has bit j on qubit
-  ``register.qubits[j]``.
+  ``register.qubits[j]``.  ``Register`` owns this rule: ``place_value``
+  and ``value_of`` convert between values and basis bits, ``controls``
+  gives the control pattern that fires on a value and ``ones`` the qubits
+  holding a value's 1 bits, so no other module reads a value bit by bit.
 * Supported gate kinds are H, X, Z, SWAP, MCX and MCZ.  Multi-controlled
   gates carry polarity-tagged controls (positive fires on |1>, negative on
   |0>) and are simulated natively as pattern-matched amplitude kernels, not
@@ -72,14 +75,35 @@ class Register:
             v |= ((basis_index >> q) & 1) << j
         return v
 
-    def place_value(self, value: int) -> int:
-        """Basis-state bits holding ``value`` on this register, 0 elsewhere."""
-        if not 0 <= value < (1 << len(self.qubits)):
+    def place_value(self, value):
+        """Basis-state bits holding ``value`` on this register, 0 elsewhere;
+        an integer array of values gives the array of their placements."""
+        top = 1 << len(self.qubits)
+        if isinstance(value, np.ndarray):
+            fits = 0 <= value.min() and value.max() < top
+        else:
+            fits = 0 <= value < top
+        if not fits:
             raise ValueError(f"value {value} does not fit register {self.name!r}")
         b = 0
         for j, q in enumerate(self.qubits):
             b |= ((value >> j) & 1) << q
         return b
+
+    def controls(self, value: int, mask: int = -1) -> list[tuple[int, bool]]:
+        """(qubit, polarity) controls that fire when this register's bits
+        under ``mask`` (all of them by default) equal ``value``'s, in
+        ``qubits`` order."""
+        width = len(self.qubits)
+        if (value & mask) >> width or (mask != -1 and mask >> width):
+            raise ValueError(f"pattern {value} under mask {mask} does not fit "
+                             f"register {self.name!r}")
+        return [(q, bool(value >> j & 1)) for j, q in enumerate(self.qubits) if mask >> j & 1]
+
+    def ones(self, value: int) -> list[int]:
+        """The qubits holding ``value``'s 1 bits, in ``qubits`` order."""
+        bits = self.place_value(value)
+        return [q for q in self.qubits if bits >> q & 1]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from gdict.dh import (
 )
 from gdict.errors import NoWinnerError, UnsupportedModulusError
 from gdict.grover import success_probability
-from gdict.sim import X
+from gdict.sim import MCX, X
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,17 @@ class TestParams:
     def test_not_mersenne(self):
         with pytest.raises(UnsupportedModulusError):
             DHParams(11, 2)
+
+    @pytest.mark.parametrize("bits", [107, 521])
+    def test_oversized_modulus_fails_fast(self, bits, capsys):
+        # Mersenne primes past 61 bits could never be searched; refusing
+        # them must not wait for p-1 to be factored.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="61-bit limit"):
+            DHParams(2**bits - 1, 3)
+        assert main(["dh-attack", "--p", str(2**bits - 1), "--g", "3", "--secret", "5"]) == 1
+        assert "61-bit limit" in capsys.readouterr().err
+        assert time.perf_counter() - start < 0.5
 
     def test_not_primitive_root(self):
         with pytest.raises(ValueError):
@@ -250,6 +261,25 @@ class TestAttack:
             run_attack(params, target, cands, CIRCUIT_ORACLE)
         assert main(["dh-attack", "--p", "7", "--g", "3", "--secret", "4",
                      "--count", "4", "--seed", "1", "--mode", "circuit"]) == 2
+        assert "failed to uncompute" in capsys.readouterr().err
+
+    def test_mark_dirtying_one_loser_raises(self, params, monkeypatch, capsys):
+        # A precomputed mark that also flips an exponent qubit when the index
+        # holds one losing candidate leaves x dirty on that one branch only.
+        target = public_value(params, 4)
+        cands = generate_candidates(params, target, 4, seed=1)
+        loser = next(i for i, c in enumerate(cands.candidates) if c != 4)
+        amplify = dh.amplify
+
+        def dirty_on_loser(circuit, index, dictionary, mark, *args):
+            stray = MCX(index.controls(loser), circuit.registers["x"].qubits[0])
+            return amplify(circuit, index, dictionary, mark + [stray], *args)
+
+        monkeypatch.setattr(dh, "amplify", dirty_on_loser)
+        with pytest.raises(RuntimeError, match="uncompute"):
+            run_attack(params, target, cands, PRECOMPUTED_ORACLE)
+        assert main(["dh-attack", "--p", "7", "--g", "3", "--secret", "4",
+                     "--count", "4", "--seed", "1", "--mode", "precomputed"]) == 2
         assert "failed to uncompute" in capsys.readouterr().err
 
     def test_single_precision_circuit_mode(self, params):

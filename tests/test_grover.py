@@ -18,7 +18,7 @@ from gdict.grover import (
     run_search,
     success_probability,
 )
-from gdict.sim import Circuit, H, Register, X, apply_circuit, apply_gate, new_state
+from gdict.sim import Circuit, H, MCX, Register, X, apply_circuit, apply_gate, new_state
 
 
 class TestClause:
@@ -309,6 +309,47 @@ class TestRunSearch:
         db_path.write_text("\n".join(reference_db.records) + "\n", encoding="utf-8")
         assert main(["grover-search", str(db_path), "1010110", "--mode", ANCILLA_KICKBACK]) == 2
         assert "verification failure" in capsys.readouterr().err
+
+    def test_mark_dirtying_one_loser_raises(self, reference_db, tmp_path, monkeypatch, capsys):
+        # A mark that also flips a data qubit when the index holds the loser
+        # 0 leaves the data register dirty on that one branch only.
+        amplify = grover.amplify
+
+        def dirty_on_index_0(circuit, index, dictionary, mark, *args):
+            stray = MCX(index.controls(0), circuit.registers["data"].qubits[0])
+            return amplify(circuit, index, dictionary, mark + [stray], *args)
+
+        monkeypatch.setattr(grover, "amplify", dirty_on_index_0)
+        with pytest.raises(RuntimeError, match="disentangle"):
+            run_search(reference_db, Clause.from_pattern("1010110"))
+        db_path = tmp_path / "db.txt"
+        db_path.write_text("\n".join(reference_db.records) + "\n", encoding="utf-8")
+        assert main(["grover-search", str(db_path), "1010110"]) == 2
+        assert "verification failure" in capsys.readouterr().err
+
+
+class TestReadIndex:
+    def test_clean_run_has_no_residual(self):
+        circuit = Circuit(2, registers={"index": Register("index", (0,))})
+        circuit.add(H(0), X(1), X(1))
+        distribution, top, residual = grover.read_index(circuit, 0, np.complex128, None, "dirty")
+        assert distribution == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
+        assert top == 0
+        assert residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_start_pattern_is_where_every_other_qubit_must_end(self):
+        circuit = Circuit(3, registers={"index": Register("index", (1,))})
+        circuit.add(H(1), X(2))
+        grover.read_index(circuit, 0b100, np.complex128, None, "dirty")
+        with pytest.raises(RuntimeError, match="dirty"):
+            grover.read_index(circuit, 0, np.complex128, None, "dirty")
+
+    def test_stray_qubit_outside_every_register_raises(self):
+        # Qubit 1 belongs to no register, yet it must come back to its start.
+        circuit = Circuit(2, registers={"index": Register("index", (0,))})
+        circuit.add(H(0), X(1))
+        with pytest.raises(RuntimeError, match=r"stray \(residual 1\.000e\+00\)"):
+            grover.read_index(circuit, 0, np.complex128, None, "stray")
 
 
 def test_one_iteration_geometry():

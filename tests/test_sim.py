@@ -500,6 +500,47 @@ class TestRegisters:
         assert r.place_value(0b101) == (1 << 2) | (1 << 5)
         assert r.value_of((1 << 2) | (1 << 5)) == 0b101
 
+    def test_place_value_of_an_array(self):
+        r = Register("r", (2, 0, 5))
+        values = np.arange(8)
+        assert r.place_value(values).tolist() == [r.place_value(v) for v in range(8)]
+        with pytest.raises(ValueError, match="does not fit"):
+            r.place_value(np.arange(9))
+
+    def test_controls_follow_register_order(self):
+        # Bit j of the value sits on qubits[j], so the list follows the
+        # register's order, not the qubit numbers.
+        r = Register("r", (5, 2, 7))
+        assert r.controls(0b110) == [(5, False), (2, True), (7, True)]
+        assert r.controls(0b001) == [(5, True), (2, False), (7, False)]
+
+    def test_controls_mask_drops_bits(self):
+        r = Register("r", (5, 2, 7))
+        assert r.controls(0b100, mask=0b101) == [(5, False), (7, True)]
+        assert r.controls(0b111, mask=0b010) == [(2, True)]
+        assert r.controls(0b011, mask=0) == []
+
+    def test_value_zero_is_all_negative_and_has_no_ones(self):
+        r = Register("r", (5, 2, 7))
+        assert r.controls(0) == [(5, False), (2, False), (7, False)]
+        assert r.ones(0) == []
+
+    def test_ones_follow_register_order(self):
+        r = Register("r", (5, 2, 7))
+        assert r.ones(0b110) == [2, 7]
+        assert r.ones(0b101) == [5, 7]
+        assert r.ones(0b111) == [5, 2, 7]
+
+    def test_values_outside_the_register_rejected(self):
+        r = Register("r", (5, 2, 7))
+        for bad in (8, -1):
+            with pytest.raises(ValueError, match="does not fit"):
+                r.ones(bad)
+            with pytest.raises(ValueError, match="does not fit"):
+                r.controls(bad)
+        with pytest.raises(ValueError, match="does not fit"):
+            r.controls(0, mask=0b1000)
+
     def test_duplicate_qubit_rejected(self):
         with pytest.raises(ValueError):
             Register("r", (1, 1))
