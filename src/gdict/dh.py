@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Database, build_dictionary
+from .dictionary import MAX_RECORDS, Database, build_dictionary
 from .errors import UnsupportedModulusError
 from .grover import GroverPlan, amplify, plan_search, read_index
 from .modarith import is_supported_modulus, modexp_circuit
-from .sim import Circuit, MCZ, Register, X, gate_count
+from .sim import MAX_BASIS_QUBITS, Circuit, MCZ, Register, X, check_state, gate_count
 # grover.read_index simulates; perfbench/tracing.py still patches these names here.
 from .sim import apply_circuit, marginal_distribution, new_state  # noqa: F401
 
@@ -80,10 +80,11 @@ def _is_prime(n: int) -> bool:
 
 
 # An attack searches the exponent register plus at least one index qubit,
-# and an int64 basis index addresses at most 62 qubits, so no wider modulus
-# can ever be searched.  Refusing one early also spares the primitive-root
-# check from factoring its p-1, which can take seconds or never finish.
-MAX_MODULUS_BITS = 61
+# and a basis index addresses at most MAX_BASIS_QUBITS qubits, so no wider
+# modulus can ever be searched.  Refusing one early also spares the
+# primitive-root check from factoring its p-1, which can take seconds or
+# never finish.
+MAX_MODULUS_BITS = MAX_BASIS_QUBITS - 1
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,12 @@ def generate_candidates(params: DHParams, target_public: int, count: int, seed: 
 
     The remainder are drawn uniformly from [0, p-2] with the given seed, and
     the list is shuffled so the winner's position carries no information.
-    Exponents stay below p-1 so exactly one candidate can win.
+    Exponents stay below p-1 so exactly one candidate can win, and no
+    database holds more than MAX_RECORDS of them.
     """
-    if not 1 <= count <= params.p - 1:
-        raise ValueError(f"count must be in [1, {params.p - 1}]")
+    top = min(params.p - 1, MAX_RECORDS)
+    if not 1 <= count <= top:
+        raise ValueError(f"count must be in [1, {top}]")
     secret = discrete_log(params, target_public)
     rng = random.Random(seed)
     # Draw positions among the p-2 other exponents and step each one past the
@@ -241,9 +244,11 @@ def build_attack_circuit(
     if not 1 <= target_public < params.p:
         raise ValueError(f"target {target_public} is not in the group")
     padded, winners, _, executed = _plan_attack(params, target_public, candidates, rounds)
+    m, n = padded.m, padded.n
+    # Built before the dictionary, so a modulus too wide fails before synthesis.
+    exp = modexp_circuit(params.g, params.p, n, base=m) if mode == CIRCUIT_ORACLE else None
 
     dictionary = build_dictionary(padded)
-    m, n = padded.m, padded.n
     index_reg = dictionary.index
 
     if mode == PRECOMPUTED_ORACLE:
@@ -255,7 +260,6 @@ def build_attack_circuit(
         return circuit
 
     # The exponent register "x" sits on the qubits the dictionary writes.
-    exp = modexp_circuit(params.g, params.p, n, base=m)
     circuit = Circuit(exp.num_qubits, registers={"index": index_reg, **exp.registers})
     a_reg = exp.registers["A"]
     mark = exp.gates + [MCZ(a_reg.controls(target_public))] + exp.gates[::-1]
@@ -300,6 +304,8 @@ def run_attack(
     ``run_search``.
     """
     padded, winners, plan, executed = _plan_attack(params, target_public, candidates, rounds)
+    # Every attack needs at least the index and exponent registers.
+    check_state(padded.m + padded.n, dtype=dtype, max_qubits=max_qubits)
     circuit = build_attack_circuit(params, target_public, candidates, mode, rounds)
     # Every qubit outside the index returns to 0, but for workspace A's 1.
     start = circuit.registers["A"].place_value(1) if mode == CIRCUIT_ORACLE else 0

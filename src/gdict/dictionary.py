@@ -18,6 +18,8 @@ from .errors import ParseError
 from .logic import Cover, TruthTable, cover_to_gates, minimize
 from .sim import Circuit, Register
 
+MAX_RECORDS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Database:
@@ -36,7 +38,7 @@ class Database:
                 raise ValueError("records differ in length")
             if set(r) - {"0", "1"}:
                 raise ValueError(f"record {r!r} has characters outside 0/1")
-        if len(self.records) > 1 << 16:
+        if len(self.records) > MAX_RECORDS:
             raise ValueError("database exceeds 2**16 records")
 
     @property

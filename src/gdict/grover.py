@@ -37,11 +37,13 @@ from .sim import (
     Register,
     X,
     apply_circuit,
+    check_state,
     gate_count,
     inverse,
-    marginal_distribution,
     new_state,
 )
+# read_index reads the index from one gather; perfbench/tracing.py still patches this name here.
+from .sim import marginal_distribution  # noqa: F401
 
 PHASE_FLIP = "phase_flip"
 ANCILLA_KICKBACK = "ancilla_kickback"
@@ -229,10 +231,11 @@ def read_index(circuit: Circuit, start: int, dtype, max_qubits: int | None,
     """Simulate ``circuit`` from |0> and read its "index" register.
 
     A correct run leaves every qubit outside the index register in the basis
-    pattern ``start``, so the 2**m amplitudes at ``index value | start``
-    carry the whole norm.  The residual is 1 minus their weight, floored at
-    0.0 so that a weight of 1.0000000000000004 does not report a negative
-    one; above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
+    pattern ``start`` and every amplitude off it an exact 0.0, so the squares
+    of the 2**m amplitudes at ``index value | start``, read in one gather,
+    are the index marginal bit for bit.  The residual is 1 minus their
+    weight, floored at 0.0 so that 1.0000000000000004 does not report a
+    negative one; above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
     otherwise) it raises RuntimeError with the ``failure`` message.  Returns
     the index distribution, its most probable value (the lowest on a tie)
     and the residual.
@@ -240,14 +243,12 @@ def read_index(circuit: Circuit, start: int, dtype, max_qubits: int | None,
     state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, circuit)
     index = circuit.registers["index"]
-    clean = state.amplitudes[index.place_value(np.arange(1 << len(index))) | start]
-    residual = max(0.0, 1.0 - float(np.sum(np.abs(clean) ** 2)))
+    probs = np.abs(state.amplitudes[index.place_value(np.arange(1 << len(index))) | start]) ** 2
+    residual = max(0.0, 1.0 - float(np.sum(probs)))
     tolerance = 1e-9 if state.amplitudes.dtype == np.complex128 else 1e-4
     if residual > tolerance:
         raise RuntimeError(f"{failure} (residual {residual:.3e})")
-    distribution = marginal_distribution(state, index)
-    top = max(distribution, key=lambda v: (distribution[v], -v))
-    return distribution, top, residual
+    return dict(enumerate(probs.tolist())), int(np.argmax(probs)), residual
 
 
 def run_search(
@@ -278,6 +279,7 @@ def run_search(
     m, n = padded.m, padded.n
     kickback = oracle_mode == ANCILLA_KICKBACK
     num_qubits = m + n + (1 if kickback else 0)
+    check_state(num_qubits, dtype=dtype, max_qubits=max_qubits)  # before synthesis
 
     dictionary = build_dictionary(padded)
     index_reg = dictionary.index

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModulusError
+from .errors import CapacityError, UnsupportedModulusError
 from .sim import (
     CCX,
     CNOT,
+    MAX_BASIS_QUBITS,
     Circuit,
     Gate,
     MCX,
@@ -97,7 +98,12 @@ class MultiplierLayout:
 
 
 def _pack(base: int, *sizes: tuple[str, int]) -> list[Register]:
-    # Registers of the given names and widths on consecutive qubits from base.
+    # Registers of the given names and widths on consecutive qubits from
+    # base, refused before any gate is built if no basis index can hold them.
+    need = base + sum(width for _, width in sizes)
+    if need > MAX_BASIS_QUBITS:
+        raise CapacityError(f"registers need {need} qubits, past the {MAX_BASIS_QUBITS} "
+                            f"an int64 basis index addresses")
     registers = []
     for name, width in sizes:
         registers.append(Register(name, tuple(range(base, base + width))))
@@ -300,14 +306,16 @@ def _run_basis(circuit: Circuit, basis: int) -> int:
     return idx
 
 
-def _failures(circuit: Circuit, cases) -> list[str]:
+def _failures(circuit: Circuit, cases) -> tuple[int, list[str]]:
     # Runs each (label, inputs, outputs) case, values keyed by register name,
-    # on its basis state.  A register named in outputs must come back holding
-    # that value; every other register must come back holding its input, or 0
-    # if it had none.
+    # on its basis state, and returns the case count and the failures.  A
+    # register named in outputs must come back holding that value; every
+    # other register must come back holding its input, or 0 if it had none.
+    # Cases arrive one at a time, so a state past the cap stops the first.
     registers = circuit.registers
+    count = 0
     failures: list[str] = []
-    for label, inputs, outputs in cases:
+    for count, (label, inputs, outputs) in enumerate(cases, 1):
         basis = 0
         for name, value in inputs.items():
             basis |= registers[name].place_value(value)
@@ -317,46 +325,46 @@ def _failures(circuit: Circuit, cases) -> list[str]:
             got = reg.value_of(out)
             if got != want:
                 failures.append(f"{label}: register {name} = {got}, expected {want}")
-    return failures
+    return count, failures
 
 
 def check_adder(n: int, inverse_direction: bool = False) -> CheckReport:
     """Exhaustive a + b (or subtraction via the inverse) over all n-bit pairs."""
     circuit = adder(n)
-    pairs = [(a, b) for a in range(1 << n) for b in range(1 << n)]
+    pairs = ((a, b) for a in range(1 << n) for b in range(1 << n))
     if inverse_direction:
         circuit = inverse(circuit)
-        cases = [(f"sub a={a} s={a + b}", {"x": a, "y": a + b}, {"y": b}) for a, b in pairs]
+        cases = ((f"sub a={a} s={a + b}", {"x": a, "y": a + b}, {"y": b}) for a, b in pairs)
     else:
-        cases = [(f"add a={a} b={b}", {"x": a, "y": b}, {"y": a + b}) for a, b in pairs]
+        cases = ((f"add a={a} b={b}", {"x": a, "y": b}, {"y": a + b}) for a, b in pairs)
     family = f"adder{'^-1' if inverse_direction else ''} n={n}"
-    return CheckReport(family, len(cases), _failures(circuit, cases))
+    return CheckReport(family, *_failures(circuit, cases))
 
 
 def check_modular_adder(N: int) -> CheckReport:
     n = require_supported_modulus(N)
     circuit = modular_adder(n, N)
-    cases = [
+    cases = (
         (f"modadd a={a} b={b}", {"x": a, "y": b, "m": N}, {"y": (a + b) % N})
         for a in range(N) for b in range(N)
-    ]
-    return CheckReport(f"modadd N={N}", len(cases), _failures(circuit, cases))
+    )
+    return CheckReport(f"modadd N={N}", *_failures(circuit, cases))
 
 
 def check_modular_multiplier(N: int, constants=None) -> CheckReport:
     require_supported_modulus(N)
-    constants = list(constants) if constants is not None else list(range(1, N))
     count = 0
     failures: list[str] = []
-    for a in constants:
+    for a in constants if constants is not None else range(1, N):
         circuit = controlled_modular_multiplier(a, N)
-        cases = [
+        cases = (
             (f"modmul a={a} x={x} ctrl={ctrl}", {"ctrl": ctrl, "x": x, "m": N},
              {"B": (a * x) % N if ctrl else x})
             for ctrl in (0, 1) for x in range(N)
-        ]
-        count += len(cases)
-        failures += _failures(circuit, cases)
+        )
+        cases_run, failed = _failures(circuit, cases)
+        count += cases_run
+        failures += failed
     return CheckReport(f"modmul N={N}", count, failures)
 
 
@@ -364,5 +372,5 @@ def check_modexp(g: int, N: int, exponent_bits: int | None = None) -> CheckRepor
     n = require_supported_modulus(N)
     bits = exponent_bits if exponent_bits is not None else n
     circuit = modexp_circuit(g, N, bits)
-    cases = [(f"modexp x={x}", {"x": x, "A": 1}, {"A": pow(g, x, N)}) for x in range(1 << bits)]
-    return CheckReport(f"modexp g={g} N={N}", len(cases), _failures(circuit, cases))
+    cases = ((f"modexp x={x}", {"x": x, "A": 1}, {"A": pow(g, x, N)}) for x in range(1 << bits))
+    return CheckReport(f"modexp g={g} N={N}", *_failures(circuit, cases))

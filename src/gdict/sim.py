@@ -40,6 +40,9 @@ from .errors import CapacityError, ParseError
 
 DEFAULT_MAX_QUBITS = 26
 MAX_QUBITS_ENV = "GDICT_MAX_QUBITS"
+# An int64 basis index addresses at most 62 qubits (bits 0-61), whatever
+# the cap: no circuit may place a register past that.
+MAX_BASIS_QUBITS = 62
 
 GATE_KINDS = ("H", "X", "Z", "SWAP", "MCX", "MCZ")
 
@@ -254,6 +257,24 @@ def new_state(
     max_qubits: int | None = None,
 ) -> StateVector:
     """Computational basis state |basis_value> on ``num_qubits`` qubits."""
+    check_state(num_qubits, basis_value, dtype=dtype, max_qubits=max_qubits)
+    amps = np.zeros(1 << num_qubits, dtype=dtype)
+    amps[basis_value] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def check_state(
+    num_qubits: int,
+    basis_value: int = 0,
+    *,
+    dtype=np.complex128,
+    max_qubits: int | None = None,
+) -> None:
+    """Raise what ``new_state`` would raise for these arguments, without
+    allocating: ValueError for no qubits or a basis value out of range, and
+    CapacityError past the qubit cap or past free memory.  A search or an
+    attack calls it with the qubits its state will need before it
+    synthesizes anything, so an oversized input fails in moments."""
     cap = resolve_max_qubits(max_qubits)
     if num_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -275,9 +296,6 @@ def new_state(
                 f"{num_qubits}-qubit state needs {need} bytes with its working copies, "
                 f"but only {free} bytes of memory are free"
             )
-    amps = np.zeros(1 << num_qubits, dtype=dtype)
-    amps[basis_value] = 1.0
-    return StateVector(num_qubits, amps)
 
 
 def _free_memory_bytes() -> int | None:
@@ -422,7 +440,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     amps = state.amplitudes
     limit = int(amps.size * SUPPORT_MAX_SHARE)
     done = 0
-    idx = np.flatnonzero(amps)
+    idx = np.flatnonzero(amps != 0)  # same indices, faster than on complex values
     if idx.size <= limit:
         vals = amps[idx]
         while done < len(gates) and idx.size <= limit:

@@ -25,6 +25,29 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def run_bounded(args, timeout=120):
+    """Run the CLI in a subprocess with the default qubit cap and 1 GiB of
+    address space; returns the finished process and its wall time."""
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != MAX_QUBITS_ENV}
+    env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread keeps the import small
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdict.cli", *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=cap_address_space,
+    )
+    return proc, time.perf_counter() - start
+
+
 class TestSynthDict:
     def test_writes_circuit_and_sidecar(self, tmp_path, db_file, capsys):
         out = tmp_path / "dict.qc"
@@ -154,23 +177,8 @@ class TestDHAttack:
     def test_mersenne_31_stops_at_cap_in_bounded_memory(self):
         # p = 2**31 - 1 with 32 candidates needs 36 qubits.  Drawing the
         # candidates must not list all p - 1 exponents (about 77 GB) first.
-        root = Path(__file__).resolve().parent.parent
-        env = {k: v for k, v in os.environ.items() if k != MAX_QUBITS_ENV}
-        env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread keeps the import small
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        limit = 1 << 30
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "gdict.cli", "dh-attack", "--mode", "precomputed",
-             "--p", "2147483647", "--g", "7", "--secret", "123456", "--count", "32"],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=cap_address_space,
-        )
+        proc, _ = run_bounded(["dh-attack", "--mode", "precomputed", "--p", "2147483647",
+                               "--g", "7", "--secret", "123456", "--count", "32"])
         assert proc.returncode == 1
         assert "exceeds cap" in proc.stderr
 
@@ -215,6 +223,50 @@ class TestDHAttack:
         ]) == 0
         report = read_json(out)
         assert report["probability"] == pytest.approx(0.9453125, abs=1e-6)
+
+
+class TestFailFast:
+    # Inputs whose state could never be simulated must be refused before
+    # synthesis, circuit construction or case enumeration, whose cost grows
+    # with the input: each of these ran for 10-60 s or ran out of memory.
+    @pytest.fixture(scope="class")
+    def big_database(self, tmp_path_factory):
+        # 65,536 records of 20 bits: 36 qubits, or 37 with the kickback ancilla.
+        rng = np.random.default_rng(36)
+        values = rng.integers(0, 1 << 20, size=1 << 16)
+        path = tmp_path_factory.mktemp("big") / "db.txt"
+        path.write_text("".join(f"{v:020b}\n" for v in values), encoding="utf-8")
+        return path, f"{values[0]:020b}"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--mode", "phase_flip"], "36 qubits exceeds cap of 26"),
+        (["--mode", "ancilla_kickback"], "37 qubits exceeds cap of 26"),
+    ], ids=["phase_flip", "ancilla_kickback"])
+    def test_search_refused_before_synthesis(self, big_database, args, message):
+        path, clause = big_database
+        proc, seconds = run_bounded(["grover-search", str(path), clause, *args], timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+        assert seconds < 5.0
+
+    @pytest.mark.parametrize("args, message", [
+        (["dh-attack", "--mode", "precomputed", "--p", "2147483647", "--g", "7",
+          "--secret", "5", "--count", "65536"], "47 qubits exceeds cap of 26"),
+        (["dh-attack", "--mode", "precomputed", "--p", "2147483647", "--g", "7",
+          "--secret", "5", "--count", "100000000"], "count must be in [1, 65536]"),
+        (["dh-attack", "--mode", "circuit", "--p", "8191", "--g", "17", "--secret", "5"],
+         "registers need 82 qubits, past the 62 an int64 basis index addresses"),
+        (["verify-arith", "adder", "--n", "12"], "37 qubits exceeds cap of 26"),
+        (["verify-arith", "modadd", "--modulus", "8191"], "54 qubits exceeds cap of 26"),
+        (["verify-arith", "modadd", "--modulus", "2147483647"],
+         "registers need 126 qubits, past the 62 an int64 basis index addresses"),
+        (["verify-arith", "modexp", "--g", "3", "--modulus", "2147483647"],
+         "registers need 188 qubits, past the 62 an int64 basis index addresses"),
+    ], ids=["attack-47-qubits", "attack-count", "attack-circuit-8191", "adder-12",
+            "modadd-8191", "modadd-2^31-1", "modexp-2^31-1"])
+    def test_refused_before_building(self, args, message):
+        proc, seconds = run_bounded(args, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+        assert seconds < 5.0
 
 
 class TestSimulate:

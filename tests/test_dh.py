@@ -245,6 +245,7 @@ class TestAttack:
         cands = generate_candidates(params, target, 4, seed=1)
         result = run_attack(params, target, cands, PRECOMPUTED_ORACLE, rounds=0)
         assert all(p == pytest.approx(0.25, abs=1e-12) for p in result.distribution.values())
+        assert result.recovered_secret == cands.candidates[0]  # an exact tie reads index 0
 
     def test_broken_uncomputation_raises(self, params, monkeypatch, capsys):
         # A workspace qubit left flipped must fail the attack, not report a key.

@@ -228,6 +228,7 @@ class TestRunSearch:
             result = run_search(reference_db, Clause.from_pattern("1010110"), rounds=0,
                                 oracle_mode=mode)
             assert all(p == pytest.approx(0.25, abs=1e-12) for p in result.distribution.values())
+            assert result.top_index == 0  # an exact tie reads the lowest index
             assert result.gate_counts == {"H": 2}
             assert result.iteration_gate_counts == {}
 

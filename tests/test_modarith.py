@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gdict.modarith as modarith
-from gdict.errors import UnsupportedModulusError
+from gdict.errors import CapacityError, UnsupportedModulusError
 from gdict.modarith import (
     adder,
     carry_block,
@@ -243,6 +243,15 @@ class TestRegisterPlacement:
         assert circuit.num_qubits == first
         used = {q for gate in circuit.gates for q in gate.qubits}
         assert min(used) >= base
+
+    def test_registers_stop_at_the_basis_index_width(self):
+        # modexp at N = 7 with one exponent bit packs 18 qubits: from base 44
+        # they end on qubit 61, the last an int64 basis index addresses.
+        assert modexp_circuit(3, 7, 1, base=44).num_qubits == 62
+        with pytest.raises(CapacityError, match="registers need 63 qubits, past the 62"):
+            modexp_circuit(3, 7, 1, base=45)
+        with pytest.raises(CapacityError, match="registers need 91 qubits"):
+            adder(30)
 
 
 class TestChecksCatchDirtyWorkspace:
