@@ -154,12 +154,27 @@ def _cmd_grover_search(args) -> int:
     return 0
 
 
+# The flags each verify-arith family reads, with their defaults; a family
+# refuses the others rather than pass a check they never reached.
+_ARITH_FLAGS = {
+    "adder": {"n": 3},
+    "modadd": {"modulus": 7},
+    "modmul": {"modulus": 7, "a": None},
+    "modexp": {"g": 3, "modulus": 7},
+}
+
+
 def _cmd_verify_arith(args) -> int:
+    takes = _ARITH_FLAGS[args.family]
+    for flag in ("n", "modulus", "g", "a"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, takes.get(flag))
+        elif flag not in takes:
+            raise CLIError(f"verify-arith {args.family} does not take --{flag}")
     reports = []
     if args.family == "adder":
-        n = args.n if args.n is not None else 3
-        reports.append(check_adder(n))
-        reports.append(check_adder(n, inverse_direction=True))
+        reports.append(check_adder(args.n))
+        reports.append(check_adder(args.n, inverse_direction=True))
     elif args.family == "modadd":
         reports.append(check_modular_adder(args.modulus))
     elif args.family == "modmul":
@@ -275,9 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-arith", help="exhaustively check an arithmetic circuit family")
     p.add_argument("family", choices=("adder", "modadd", "modmul", "modexp"))
     p.add_argument("--n", type=int, default=None, help="adder register width (default 3)")
-    p.add_argument("--modulus", type=int, default=7)
-    p.add_argument("--g", type=int, default=3, help="modexp base")
-    p.add_argument("--a", default=None, help="modmul constants, comma separated")
+    p.add_argument("--modulus", type=int, default=None,
+                   help="modadd, modmul and modexp modulus (default 7)")
+    p.add_argument("--g", type=int, default=None, help="modexp base (default 3)")
+    p.add_argument("--a", default=None,
+                   help="modmul constants, comma separated (default 1 to modulus - 1)")
     p.set_defaults(fn=_cmd_verify_arith)
 
     p = sub.add_parser("dh-attack", help="toy Diffie-Hellman key recovery")

@@ -215,6 +215,14 @@ def generate_candidates(params: DHParams, target_public: int, count: int, seed: 
     return encode_candidates(params, chosen)
 
 
+def _check_attack(params: DHParams, target_public: int, mode: str) -> None:
+    # Refuses a bad mode or target before any planning or simulation.
+    if mode not in ATTACK_MODES:
+        raise ValueError(f"unknown attack mode {mode!r}")
+    if not 1 <= target_public < params.p:
+        raise ValueError(f"target {target_public} is not in the group")
+
+
 def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet,
                  rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
     # The winners are the candidate exponents whose public value hits the target.
@@ -239,10 +247,7 @@ def build_attack_circuit(
     workspace, and uncomputes; in precomputed mode it phases the exponent
     register directly on the classically known winners.
     """
-    if mode not in ATTACK_MODES:
-        raise ValueError(f"unknown attack mode {mode!r}")
-    if not 1 <= target_public < params.p:
-        raise ValueError(f"target {target_public} is not in the group")
+    _check_attack(params, target_public, mode)
     padded, winners, _, executed = _plan_attack(params, target_public, candidates, rounds)
     m, n = padded.m, padded.n
     # Built before the dictionary, so a modulus too wide fails before synthesis.
@@ -303,6 +308,7 @@ def run_attack(
     tolerance (a broken uncomputation) raises RuntimeError, as in
     ``run_search``.
     """
+    _check_attack(params, target_public, mode)
     padded, winners, plan, executed = _plan_attack(params, target_public, candidates, rounds)
     # Every attack needs at least the index and exponent registers.
     check_state(padded.m + padded.n, dtype=dtype, max_qubits=max_qubits)

@@ -22,9 +22,9 @@ Each constructor places its own registers on consecutive qubits from qubit 0
 (``modexp_circuit`` from a ``base`` offset, which key recovery sets to the
 width of its index register) and declares them on the circuit, so callers and
 the exhaustive checks read them by name from ``circuit.registers``.  The
-constructors' docstrings give the names in qubit order.  The small layouts
-(``AdderLayout``, ``ModularLayout``, ``MultiplierLayout``) only group a
-stage's registers for the gate builders, which reuse them stage by stage.
+constructors' docstrings give the names in qubit order.  The multiplier and
+modular exponentiation build the modular adder's gate list once and reuse
+that one list, gate objects and all, for every input bit.
 
 Supported moduli are N = 2**k - 1 (validated); a and b occupy k qubits.  The
 borrow-flag logic is only claimed for this family here; exhaustive
@@ -74,29 +74,6 @@ def mod_inverse(a: int, N: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {N} (gcd = {math.gcd(a, N)})") from exc
 
 
-# Layouts: a stage's registers, grouped for the gate builders.
-
-@dataclass(frozen=True)
-class AdderLayout:
-    x: Register  # n qubits, left unchanged
-    y: Register  # n + 1 qubits, receives the sum; top qubit is the carry out
-    c: Register  # n scratch carry qubits, restored to |0>
-
-
-@dataclass(frozen=True)
-class ModularLayout:
-    adder: AdderLayout
-    m: Register     # n qubits holding the modulus throughout
-    flag: Register  # one ancilla qubit, enters and exits |0>
-
-
-@dataclass(frozen=True)
-class MultiplierLayout:
-    ctrl: int        # outer control: multiply when 1, copy input when 0
-    x: Register      # input register (unchanged)
-    inner: ModularLayout  # inner.adder.x holds shifted constants, inner.adder.y accumulates
-
-
 def _pack(base: int, *sizes: tuple[str, int]) -> list[Register]:
     # Registers of the given names and widths on consecutive qubits from
     # base, refused before any gate is built if no basis index can hold them.
@@ -135,9 +112,11 @@ def sum_block(c_i: int, x_i: int, y_i: int) -> list[Gate]:
     return [CNOT(x_i, y_i), CNOT(c_i, y_i)]
 
 
-def _adder_gates(layout: AdderLayout) -> list[Gate]:
-    n = len(layout.x.qubits)
-    xq, yq, cq = layout.x.qubits, layout.y.qubits, layout.c.qubits
+def _adder_gates(x: Register, y: Register, c: Register) -> list[Gate]:
+    # x holds n qubits and stays unchanged, y (n + 1) receives the sum with
+    # the carry out on top, and the n carry qubits c return to |0>.
+    n = len(x.qubits)
+    xq, yq, cq = x.qubits, y.qubits, c.qubits
     carry_out = lambda i: cq[i + 1] if i < n - 1 else yq[n]
     gates: list[Gate] = []
     for i in range(n):
@@ -158,29 +137,29 @@ def adder(n: int) -> Circuit:
     if n < 1:
         raise ValueError("adder needs n >= 1")
     registers = _pack(0, ("x", n), ("y", n + 1), ("c", n))
-    return _circuit(registers, _adder_gates(AdderLayout(*registers)))
+    return _circuit(registers, _adder_gates(*registers))
 
 
-def _modadd_gates(layout: ModularLayout, N: int) -> list[Gate]:
-    ad = layout.adder
-    y_top = ad.y.qubits[-1]
-    flag = layout.flag.qubits[0]
-    add_x = _adder_gates(ad)
-    sub_x = [g for g in reversed(add_x)]
-    m_adder = AdderLayout(layout.m, ad.y, ad.c)
-    add_m = _adder_gates(m_adder)
-    sub_m = [g for g in reversed(add_m)]
-    fan = [CNOT(flag, q) for q in layout.m.ones(N)]  # flips m between |N> and |0>
+def _modadd_gates(x: Register, y: Register, c: Register, m: Register, flag: Register,
+                  N: int) -> list[Gate]:
+    # y <- (x + y) mod N; m holds N and flag holds 0 on entry and on exit.
+    y_top = y.qubits[-1]
+    f = flag.qubits[0]
+    add_x = _adder_gates(x, y, c)
+    sub_x = add_x[::-1]
+    add_m = _adder_gates(m, y, c)
+    sub_m = add_m[::-1]
+    fan = [CNOT(f, q) for q in m.ones(N)]  # flips m between |N> and |0>
 
     gates: list[Gate] = []
     gates += add_x                                    # y = a + b
     gates += sub_m                                    # y = a + b - N, top bit = borrow
-    gates.append(MCX([(y_top, False)], flag))         # flag = 1 iff no borrow
+    gates.append(MCX([(y_top, False)], f))            # flag = 1 iff no borrow
     gates += fan                                      # flag ? m <- 0 : m stays N
     gates += add_m                                    # re-add N only when borrowed
     gates += fan                                      # restore m = N
     gates += sub_x                                    # y = result - a, re-derives the flag
-    gates.append(MCX([(y_top, True)], flag))          # clear the flag reversibly
+    gates.append(MCX([(y_top, True)], f))             # clear the flag reversibly
     gates += add_x                                    # y = result
     return gates
 
@@ -196,23 +175,21 @@ def modular_adder(n: int, N: int) -> Circuit:
     if k != n:
         raise ValueError(f"modulus {N} needs {k}-bit registers, not {n}")
     registers = _pack(0, ("x", n), ("y", n + 1), ("c", n), ("m", n), ("ctrl", 1))
-    x, y, c, m, flag = registers
-    return _circuit(registers, _modadd_gates(ModularLayout(AdderLayout(x, y, c), m, flag), N))
+    return _circuit(registers, _modadd_gates(*registers, N))
 
 
-def _modmul_gates(layout: MultiplierLayout, a: int, N: int) -> list[Gate]:
-    inner = layout.inner
-    temp = inner.adder.x    # receives the shifted constants
-    acc = inner.adder.y
+def _modmul_gates(ctrl: int, x: Register, t: Register, b: Register, modadd: list[Gate],
+                  a: int, N: int) -> list[Gate]:
+    # ``modadd`` adds t into the accumulator b modulo N; each input bit loads
+    # its shifted constant into t around one run of it.
     gates: list[Gate] = []
-    for j, xq in enumerate(layout.x.qubits):
-        const = (a << j) % N
-        load = [CCX(layout.ctrl, xq, q) for q in temp.ones(const)]
+    for j, xq in enumerate(x.qubits):
+        load = [CCX(ctrl, xq, q) for q in t.ones((a << j) % N)]
         gates += load
-        gates += _modadd_gates(inner, N)
-        gates += load  # constants XOR back out; the adder left temp unchanged
-    for j, xq in enumerate(layout.x.qubits):
-        gates.append(MCX([(layout.ctrl, False), (xq, True)], acc.qubits[j]))
+        gates += modadd
+        gates += load  # constants XOR back out; the adder left t unchanged
+    for j, xq in enumerate(x.qubits):
+        gates.append(MCX([(ctrl, False), (xq, True)], b.qubits[j]))
     return gates
 
 
@@ -231,25 +208,8 @@ def controlled_modular_multiplier(a: int, N: int) -> Circuit:
         0, ("ctrl", 1), ("x", n), ("t", n), ("B", n + 1), ("c", n), ("m", n), ("mctrl", 1)
     )
     ctrl, x, t, b, c, m, flag = registers
-    layout = MultiplierLayout(ctrl.qubits[0], x, ModularLayout(AdderLayout(t, b, c), m, flag))
-    return _circuit(registers, _modmul_gates(layout, a, N))
-
-
-def _modexp_gates(x: Register, a: Register, inner: ModularLayout, g: int, N: int) -> list[Gate]:
-    # Workspace B is the inner adder's sum register; its top bit is adder scratch.
-    b = inner.adder.y
-    gates: list[Gate] = []
-    gates += [X(q) for q in inner.m.ones(N)]  # m <- N
-    factor = g % N
-    for xq in x.qubits:
-        bit_layout = MultiplierLayout(xq, a, inner)
-        gates += _modmul_gates(bit_layout, factor, N)
-        gates += [SWAP(a_q, b_q) for a_q, b_q in zip(a.qubits, b.qubits)]
-        clear = _modmul_gates(bit_layout, mod_inverse(factor, N), N)
-        gates += [gate for gate in reversed(clear)]
-        factor = (factor * factor) % N
-    gates += [X(q) for q in inner.m.ones(N)]  # m -> |0>
-    return gates
+    modadd = _modadd_gates(t, b, c, m, flag, N)
+    return _circuit(registers, _modmul_gates(ctrl.qubits[0], x, t, b, modadd, a, N))
 
 
 def modexp_circuit(g: int, N: int, exponent_bits: int, base: int = 0) -> Circuit:
@@ -273,8 +233,19 @@ def modexp_circuit(g: int, N: int, exponent_bits: int, base: int = 0) -> Circuit
         ("mctrl", 1),
     )
     x, a, b, t, c, m, flag = registers
-    inner = ModularLayout(AdderLayout(t, b, c), m, flag)
-    return _circuit(registers, _modexp_gates(x, a, inner, g, N))
+    # Workspace B is the modular adder's sum register; its top bit is adder scratch.
+    modadd = _modadd_gates(t, b, c, m, flag, N)
+    load_m = [X(q) for q in m.ones(N)]
+    swap = [SWAP(a_q, b_q) for a_q, b_q in zip(a.qubits, b.qubits)]
+    gates: list[Gate] = list(load_m)  # m <- N
+    factor = g % N
+    for xq in x.qubits:
+        gates += _modmul_gates(xq, a, t, b, modadd, factor, N)
+        gates += swap
+        gates += _modmul_gates(xq, a, t, b, modadd, mod_inverse(factor, N), N)[::-1]
+        factor = (factor * factor) % N
+    gates += load_m  # m -> |0>
+    return _circuit(registers, gates)
 
 
 # Exhaustive verification against classical integer arithmetic.

@@ -143,6 +143,19 @@ class TestVerifyArith:
         assert main(["verify-arith", "modmul", "--modulus", "7", "--a", "3"]) == 0
         assert "14/14 pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("family, flag, value", [
+        ("adder", "--modulus", "31"),
+        ("modadd", "--n", "5"),
+        ("modexp", "--a", "3"),
+        ("adder", "--g", "5"),
+        ("modmul", "--g", "9"),
+    ])
+    def test_flag_the_family_does_not_read_is_refused(self, capsys, family, flag, value):
+        assert main(["verify-arith", family, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: verify-arith {family} does not take {flag}\n"
+        assert captured.out == ""
+
 
 class TestDHAttack:
     def test_precomputed_mode(self, tmp_path):

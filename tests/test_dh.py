@@ -229,6 +229,24 @@ class TestAttack:
         with pytest.raises(ValueError):
             build_attack_circuit(params, 4, cands, "quantum_annealer")
 
+    @pytest.mark.parametrize("target, mode, message", [
+        (0, PRECOMPUTED_ORACLE, "target 0 is not in the group"),
+        (31, CIRCUIT_ORACLE, "target 31 is not in the group"),
+        (4, "quantum_annealer", "unknown attack mode 'quantum_annealer'"),
+    ], ids=["target-0", "target-p", "mode"])
+    def test_run_attack_refuses_bad_input_before_planning(self, monkeypatch, target, mode,
+                                                          message):
+        big = DHParams(31, 3)
+        cands = generate_candidates(big, public_value(big, 11), 8, seed=2)
+
+        def no_planning(*args):
+            raise AssertionError("planned before checking its input")
+
+        monkeypatch.setattr(dh, "plan_search", no_planning)
+        with pytest.raises(ValueError) as caught:
+            run_attack(big, target, cands, mode)
+        assert str(caught.value) == message
+
     def test_padded_candidates(self, params):
         # 6 candidates pad to 8 by duplicating the first; padding may add a
         # second winner, and the planner must account for it.

@@ -45,6 +45,9 @@ FAMILIES = {
     "modexp_circuit": lambda: (
         modexp_circuit(g, 7, bits, base=base)
         for g in range(1, 7) if gcd(g, 7) == 1 for bits in (1, 2, 3) for base in (0, 5)),
+    # N = 31, past the moduli the families above reach.
+    "controlled_modular_multiplier_31": lambda: (controlled_modular_multiplier(3, 31),),
+    "modexp_circuit_31": lambda: (modexp_circuit(3, 31, 5),),
     "build_dictionary": lambda: (
         build_dictionary(db).circuit for db in (Database(REFERENCE_RECORDS), _seeded_database())),
     "run_search": lambda: (
@@ -59,6 +62,8 @@ HASHES = {
     "modular_adder": "1851ccfe12a5a0ba1702c01675f2a554f76e779721b3a883aa75ee5f819c3acf",
     "controlled_modular_multiplier": "3f682d24ec418f16077a0142fb6467052d554da0458068088ca396ee9f213410",
     "modexp_circuit": "170385535f531a97ef1892d0ff27c092c9c17e656190baffe43482daca1452fa",
+    "controlled_modular_multiplier_31": "3d81574274a00d9597f85fbd22a8b68fa9f3cda00435280e36bac965b4e3c1fb",
+    "modexp_circuit_31": "bf5ca2c02d274779fa69c220ee433aae5986a5736d360ad0e49248866d53cd46",
     "build_dictionary": "8c8c9638620339ca37ec6ef2920077e0ac58a0cc3be935081d3eb2ee1edbb325",
     "run_search": "9933c195965c30dc51dd783678daa5d796b3b1a79902ce4418b95165718340d7",
     "build_attack_circuit": "ec6a0e76caf2ccf1d5cf92cbb1a1b055889d2e70d8b38df741b7ce52244c3ec4",

@@ -18,7 +18,7 @@ from gdict.modarith import (
     sum_block,
     require_supported_modulus,
 )
-from gdict.sim import Circuit, apply_circuit, apply_gate, H, inverse, new_state
+from gdict.sim import MCZ, SWAP, Circuit, X, apply_circuit, apply_gate, H, inverse, new_state
 
 
 def run_classical(circuit: Circuit, basis: int) -> int:
@@ -26,6 +26,71 @@ def run_classical(circuit: Circuit, basis: int) -> int:
     idx = int(np.argmax(np.abs(state.amplitudes)))
     assert abs(state.amplitudes[idx] - 1) < 1e-9
     return idx
+
+
+def evaluate_classically(circuit: Circuit, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference evaluator, independent of ``Gate.plan`` and the simulator:
+    runs every gate from its kind, controls and targets on an int64 array of
+    basis inputs at once, and returns the outputs and the sign Z and MCZ put
+    on each input."""
+    out = basis.astype(np.int64)
+    sign = np.ones(len(out), dtype=np.int64)
+    for gate in circuit.gates:
+        fire = np.ones(len(out), dtype=bool)
+        for q, polarity in gate.controls:
+            fire &= (out >> q & 1) == int(polarity)
+        if gate.kind in ("X", "MCX"):
+            out ^= fire.astype(np.int64) << gate.targets[0]
+        elif gate.kind == "SWAP":
+            a, b = gate.targets
+            differ = (out >> a ^ out >> b) & 1
+            out ^= differ << a | differ << b
+        elif gate.kind in ("Z", "MCZ"):
+            for q in gate.targets:
+                fire &= (out >> q & 1) == 1
+            sign[fire] *= -1
+        else:
+            raise ValueError(f"{gate.kind} gate has no classical evaluation")
+    return out, sign
+
+
+def register_values(register, out: np.ndarray) -> np.ndarray:
+    values = np.zeros(len(out), dtype=np.int64)
+    for j, q in enumerate(register.qubits):
+        values |= (out >> q & 1) << j
+    return values
+
+
+def captured_cases(monkeypatch, check, *args) -> list:
+    # The (circuit, cases) pairs a check hands to _failures, none of them run.
+    runs = []
+
+    def record(circuit, cases):
+        cases = list(cases)
+        runs.append((circuit, cases))
+        return len(cases), []
+
+    monkeypatch.setattr(modarith, "_failures", record)
+    check(*args)
+    return runs
+
+
+def case_bases(circuit: Circuit, cases) -> np.ndarray:
+    registers = circuit.registers
+    return np.array([sum(registers[name].place_value(value) for name, value in inputs.items())
+                     for _, inputs, _ in cases], dtype=np.int64)
+
+
+def classical_failures(circuit: Circuit, cases) -> int:
+    """Cases that break _failures' rule under the reference evaluator: an
+    output register must hold the value asked for, every other register its
+    input or 0, and the sign must stay +1."""
+    out, sign = evaluate_classically(circuit, case_bases(circuit, cases))
+    bad = sign != 1
+    for name, register in circuit.registers.items():
+        want = [outputs.get(name, inputs.get(name, 0)) for _, inputs, outputs in cases]
+        bad |= register_values(register, out) != np.array(want, dtype=np.int64)
+    return int(np.count_nonzero(bad))
 
 
 class TestBlocks:
@@ -274,3 +339,46 @@ class TestChecksCatchDirtyWorkspace:
         assert not report.passed
         assert len(report.failures) == report.cases
         assert all(f": register {register} = " in f for f in report.failures)
+
+
+class TestClassicalReference:
+    # Every exhaustive check above simulates under the 26-qubit cap, which
+    # stops at N = 7; the reference evaluator runs the same cases at N = 31
+    # and 127 (modmul N = 31 needs 28 qubits, modexp N = 127 needs 44).
+    N7_CHECKS = [
+        (check_adder, (3,)),
+        (check_adder, (3, True)),
+        (check_modular_adder, (7,)),
+        (check_modular_multiplier, (7,)),
+        (check_modexp, (3, 7)),
+    ]
+
+    @pytest.mark.parametrize("check, args", N7_CHECKS,
+                             ids=["adder", "adder^-1", "modadd", "modmul", "modexp"])
+    def test_matches_the_simulator_at_n7(self, monkeypatch, check, args):
+        runs = captured_cases(monkeypatch, check, *args)
+        for circuit, cases in runs:
+            basis = case_bases(circuit, cases)
+            out, sign = evaluate_classically(circuit, basis)
+            assert out.tolist() == [modarith._run_basis(circuit, int(b)) for b in basis]
+            assert (sign == 1).all()
+
+    @pytest.mark.parametrize("check, args, cases", [
+        (check_modular_adder, (31,), 961),
+        (check_modular_multiplier, (31,), 1860),
+        (check_modexp, (3, 31), 32),
+        (check_modexp, (3, 127), 128),
+    ], ids=["modadd-31", "modmul-31", "modexp-31", "modexp-127"])
+    def test_exhaustive_past_the_cap(self, monkeypatch, check, args, cases):
+        runs = captured_cases(monkeypatch, check, *args)
+        assert sum(len(run_cases) for _, run_cases in runs) == cases
+        for circuit, run_cases in runs:
+            assert classical_failures(circuit, run_cases) == 0
+
+    def test_signs_and_superposition(self):
+        circuit = Circuit(3, [X(0), SWAP(0, 2), MCZ([(1, False), (2, True)])])
+        out, sign = evaluate_classically(circuit, np.arange(8))
+        assert out.tolist() == [4, 0, 6, 2, 5, 1, 7, 3]
+        assert sign.tolist() == [-1, 1, 1, 1, -1, 1, 1, 1]
+        with pytest.raises(ValueError, match="H gate"):
+            evaluate_classically(Circuit(1, [H(0)]), np.arange(2))
