@@ -178,8 +178,7 @@ def _cmd_verify_arith(args) -> int:
     elif args.family == "modadd":
         reports.append(check_modular_adder(args.modulus))
     elif args.family == "modmul":
-        constants = [int(a) for a in args.a.split(",")] if args.a else None
-        reports.append(check_modular_multiplier(args.modulus, constants))
+        reports.append(check_modular_multiplier(args.modulus, args.a or None))
     else:  # modexp
         reports.append(check_modexp(args.g, args.modulus))
     ok = True
@@ -262,6 +261,14 @@ def _cmd_gatecount(args) -> int:
     return 0
 
 
+def _constants(text: str) -> list[int]:
+    # --a's comma-separated modmul constants; an empty --a means every one.
+    try:
+        return [int(a) for a in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", choices=("double", "single"), default="double")
     p.add_argument("--max-qubits", type=int, default=None,
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=None,
                    help="modadd, modmul and modexp modulus (default 7)")
     p.add_argument("--g", type=int, default=None, help="modexp base (default 3)")
-    p.add_argument("--a", default=None,
+    p.add_argument("--a", type=_constants, default=None,
                    help="modmul constants, comma separated (default 1 to modulus - 1)")
     p.set_defaults(fn=_cmd_verify_arith)
 

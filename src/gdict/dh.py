@@ -215,20 +215,37 @@ def generate_candidates(params: DHParams, target_public: int, count: int, seed: 
     return encode_candidates(params, chosen)
 
 
-def _check_attack(params: DHParams, target_public: int, mode: str) -> None:
-    # Refuses a bad mode or target before any planning or simulation.
+def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet, mode: str,
+                 rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
+    # Refuses a bad mode or target, then plans; the winners' g**x hits the target.
     if mode not in ATTACK_MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
     if not 1 <= target_public < params.p:
         raise ValueError(f"target {target_public} is not in the group")
-
-
-def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet,
-                 rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
-    # The winners are the candidate exponents whose public value hits the target.
     return plan_search(candidates.database,
                        lambda x: pow(params.g, x, params.p) == target_public,
                        rounds, "no candidate exponent produces the target public value")
+
+
+def _attack_circuit(params: DHParams, target_public: int, mode: str, padded: Database,
+                    winners: list[int], executed: int) -> Circuit:
+    m, n = padded.m, padded.n
+    # Built before the dictionary, so a modulus too wide fails before synthesis.
+    exp = modexp_circuit(params.g, params.p, n, base=m) if mode == CIRCUIT_ORACLE else None
+    dictionary = build_dictionary(padded)
+    if mode == PRECOMPUTED_ORACLE:
+        x_reg = Register("x", tuple(range(m, m + n)))
+        circuit = Circuit(m + n, registers={"index": dictionary.index, "x": x_reg})
+        winner_values = sorted({int(padded.records[i], 2) for i in winners})
+        mark = [MCZ(x_reg.controls(v)) for v in winner_values]
+    else:
+        # The exponent register "x" sits on the qubits the dictionary writes.
+        circuit = Circuit(exp.num_qubits, registers={"index": dictionary.index, **exp.registers})
+        a_reg = exp.registers["A"]
+        mark = exp.gates + [MCZ(a_reg.controls(target_public))] + exp.gates[::-1]
+        circuit.add(*map(X, a_reg.ones(1)))  # workspace A enters |1>
+    amplify(circuit, dictionary.index, dictionary.circuit, mark, executed)
+    return circuit
 
 
 def build_attack_circuit(
@@ -247,30 +264,8 @@ def build_attack_circuit(
     workspace, and uncomputes; in precomputed mode it phases the exponent
     register directly on the classically known winners.
     """
-    _check_attack(params, target_public, mode)
-    padded, winners, _, executed = _plan_attack(params, target_public, candidates, rounds)
-    m, n = padded.m, padded.n
-    # Built before the dictionary, so a modulus too wide fails before synthesis.
-    exp = modexp_circuit(params.g, params.p, n, base=m) if mode == CIRCUIT_ORACLE else None
-
-    dictionary = build_dictionary(padded)
-    index_reg = dictionary.index
-
-    if mode == PRECOMPUTED_ORACLE:
-        x_reg = Register("x", tuple(range(m, m + n)))
-        circuit = Circuit(m + n, registers={"index": index_reg, "x": x_reg})
-        winner_values = sorted({int(padded.records[i], 2) for i in winners})
-        mark = [MCZ(x_reg.controls(v)) for v in winner_values]
-        amplify(circuit, index_reg, dictionary.circuit, mark, executed)
-        return circuit
-
-    # The exponent register "x" sits on the qubits the dictionary writes.
-    circuit = Circuit(exp.num_qubits, registers={"index": index_reg, **exp.registers})
-    a_reg = exp.registers["A"]
-    mark = exp.gates + [MCZ(a_reg.controls(target_public))] + exp.gates[::-1]
-    circuit.add(*map(X, a_reg.ones(1)))  # workspace A enters |1>
-    amplify(circuit, index_reg, dictionary.circuit, mark, executed)
-    return circuit
+    padded, winners, _, executed = _plan_attack(params, target_public, candidates, mode, rounds)
+    return _attack_circuit(params, target_public, mode, padded, winners, executed)
 
 
 @dataclass
@@ -299,20 +294,19 @@ def run_attack(
     dtype=np.complex128,
     max_qubits: int | None = None,
 ) -> AttackResult:
-    """Simulate the attack circuit and read the index-register distribution.
+    """Plan the attack once, then simulate its circuit and read the index.
 
     The recovered secret is the candidate at the most probable index.  Every
     qubit outside the index register must return to its start: workspace A
-    to 1 in circuit mode, all else to 0.  The result reports the residual
-    weight outside that pattern, and a residual above ``grover.read_index``'s
-    tolerance (a broken uncomputation) raises RuntimeError, as in
-    ``run_search``.
+    to 1 in circuit mode, all else to 0.  Any nonzero amplitude left off that
+    pattern (a broken uncomputation) raises RuntimeError, as in
+    ``run_search``; the result reports 1 minus the index weight as the
+    residual, which decides nothing.
     """
-    _check_attack(params, target_public, mode)
-    padded, winners, plan, executed = _plan_attack(params, target_public, candidates, rounds)
+    padded, winners, plan, executed = _plan_attack(params, target_public, candidates, mode, rounds)
     # Every attack needs at least the index and exponent registers.
     check_state(padded.m + padded.n, dtype=dtype, max_qubits=max_qubits)
-    circuit = build_attack_circuit(params, target_public, candidates, mode, rounds)
+    circuit = _attack_circuit(params, target_public, mode, padded, winners, executed)
     # Every qubit outside the index returns to 0, but for workspace A's 1.
     start = circuit.registers["A"].place_value(1) if mode == CIRCUIT_ORACLE else 0
     distribution, top_index, residual = read_index(

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .logic import Cover, TruthTable, cover_to_gates, minimize
+from .logic import MAX_INPUTS, Cover, TruthTable, cover_to_gates, minimize
 from .sim import Circuit, Register
 
-MAX_RECORDS = 1 << 16
+MAX_RECORDS = 1 << MAX_INPUTS
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Database:
             if set(r) - {"0", "1"}:
                 raise ValueError(f"record {r!r} has characters outside 0/1")
         if len(self.records) > MAX_RECORDS:
-            raise ValueError("database exceeds 2**16 records")
+            raise ValueError(f"database exceeds 2**{MAX_INPUTS} records")
 
     @property
     def n(self) -> int:

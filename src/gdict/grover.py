@@ -232,21 +232,21 @@ def read_index(circuit: Circuit, start: int, dtype, max_qubits: int | None,
 
     A correct run leaves every qubit outside the index register in the basis
     pattern ``start`` and every amplitude off it an exact 0.0, so the squares
-    of the 2**m amplitudes at ``index value | start``, read in one gather,
-    are the index marginal bit for bit.  The residual is 1 minus their
-    weight, floored at 0.0 so that 1.0000000000000004 does not report a
-    negative one; above the tolerance of ``dtype`` (1e-9 for complex128, 1e-4
-    otherwise) it raises RuntimeError with the ``failure`` message.  Returns
-    the index distribution, its most probable value (the lowest on a tie)
-    and the residual.
+    of the 2**m amplitudes at ``index value | start``, read in one gather, are
+    the index marginal bit for bit.  Any other nonzero amplitude, in either
+    precision, raises RuntimeError with the ``failure`` message; the residual,
+    1 minus the index weight floored at 0.0, decides nothing (rounding alone
+    lifts it past 1e-4 in single precision).  Returns the index distribution,
+    its most probable value (the lowest on a tie) and the residual.
     """
     state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, circuit)
     index = circuit.registers["index"]
-    probs = np.abs(state.amplitudes[index.place_value(np.arange(1 << len(index))) | start]) ** 2
+    on_pattern = index.place_value(np.arange(1 << len(index))) | start
+    probs = np.abs(state.amplitudes[on_pattern]) ** 2
     residual = max(0.0, 1.0 - float(np.sum(probs)))
-    tolerance = 1e-9 if state.amplitudes.dtype == np.complex128 else 1e-4
-    if residual > tolerance:
+    state.amplitudes[on_pattern] = 0
+    if state.amplitudes.any():
         raise RuntimeError(f"{failure} (residual {residual:.3e})")
     return dict(enumerate(probs.tolist())), int(np.argmax(probs)), residual
 
@@ -285,9 +285,7 @@ def run_search(
     index_reg = dictionary.index
     data_reg = dictionary.data
 
-    full = Circuit(num_qubits)
-    full.add_register(index_reg)
-    full.add_register(data_reg)
+    full = Circuit(num_qubits, registers={"index": index_reg, "data": data_reg})
     ancilla = None
     prepare = ()
     if kickback:

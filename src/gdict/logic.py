@@ -24,6 +24,9 @@ import numpy as np
 
 from .sim import Gate, Register, MCX, X
 
+# The widest truth table ``minimize`` takes, so the widest dictionary index.
+MAX_INPUTS = 16
+
 
 @dataclass(frozen=True)
 class Cube:
@@ -255,8 +258,8 @@ def minimize(table: TruthTable) -> Cover:
     deterministic, so synthesized gate lists are reproducible.
     """
     m = table.num_inputs
-    if m > 16:
-        raise ValueError("minimization supports at most 16 inputs")
+    if m > MAX_INPUTS:
+        raise ValueError(f"minimization supports at most {MAX_INPUTS} inputs")
     f = int.from_bytes(np.packbits(table.outputs != 0, bitorder="little").tobytes(), "little")
     memo: list[dict[int, int]] = [{} for _ in range(m + 1)]
     cubes: list[tuple[int, int]] = []

@@ -90,10 +90,8 @@ def _pack(base: int, *sizes: tuple[str, int]) -> list[Register]:
 
 def _circuit(registers: list[Register], gates: list[Gate]) -> Circuit:
     # The circuit over ``registers``, declared in their order.
-    circuit = Circuit(max(q for reg in registers for q in reg.qubits) + 1, gates)
-    for reg in registers:
-        circuit.add_register(reg)
-    return circuit
+    return Circuit(max(q for reg in registers for q in reg.qubits) + 1, gates,
+                   {reg.name: reg for reg in registers})
 
 
 # Gate-level blocks.
@@ -270,7 +268,7 @@ def _run_basis(circuit: Circuit, basis: int) -> int:
     apply_circuit(state, circuit)
     amps = state.amplitudes
     idx = int(np.argmax(np.abs(amps)))
-    if abs(amps[idx] - 1.0) > 1e-9:
+    if amps[idx] != 1.0:
         raise AssertionError(
             f"basis input {basis} produced a non-classical state (peak {amps[idx]})"
         )

@@ -156,6 +156,13 @@ class TestVerifyArith:
         assert captured.err == f"error: verify-arith {family} does not take {flag}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["3,x", "3,"])
+    def test_bad_constants_name_their_flag(self, capsys, value):
+        assert main(["verify-arith", "modmul", "--a", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument --a: not comma-separated integers: {value!r}\n"
+        assert captured.out == ""
+
 
 class TestDHAttack:
     def test_precomputed_mode(self, tmp_path):

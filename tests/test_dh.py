@@ -247,6 +247,20 @@ class TestAttack:
             run_attack(big, target, cands, mode)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("mode", [CIRCUIT_ORACLE, PRECOMPUTED_ORACLE])
+    def test_run_attack_plans_once(self, params, monkeypatch, mode):
+        plans = []
+        plan_search = dh.plan_search
+
+        def counted(*args):
+            plans.append(args)
+            return plan_search(*args)
+
+        monkeypatch.setattr(dh, "plan_search", counted)
+        target = public_value(params, 4)
+        run_attack(params, target, generate_candidates(params, target, 4, seed=1), mode)
+        assert len(plans) == 1
+
     def test_padded_candidates(self, params):
         # 6 candidates pad to 8 by duplicating the first; padding may add a
         # second winner, and the planner must account for it.
@@ -267,13 +281,13 @@ class TestAttack:
 
     def test_broken_uncomputation_raises(self, params, monkeypatch, capsys):
         # A workspace qubit left flipped must fail the attack, not report a key.
-        build = dh.build_attack_circuit
+        build = dh._attack_circuit
 
         def leave_x_flipped(*args, **kwargs):
             circuit = build(*args, **kwargs)
             return circuit.add(X(circuit.registers["x"].qubits[0]))
 
-        monkeypatch.setattr(dh, "build_attack_circuit", leave_x_flipped)
+        monkeypatch.setattr(dh, "_attack_circuit", leave_x_flipped)
         target = public_value(params, 4)
         cands = generate_candidates(params, target, 4, seed=1)
         with pytest.raises(RuntimeError, match="uncompute"):

@@ -39,6 +39,8 @@ COMMANDS = {
     "search-seeded-kickback-single": [
         "grover-search", "{seeded}", SEEDED_CLAUSE, "--mode", "ancilla_kickback",
         "--precision", "single", "--out", "{out}"],
+    "search-seeded-single-300-rounds": [
+        "grover-search", "{seeded}", "1xxxxxxxxx", "--precision", "single", "--rounds", "300"],
     "attack-circuit-7x4": ["dh-attack", "--p", "7", "--g", "3", "--secret", "4",
                            "--count", "4", "--mode", "circuit"],
     "attack-circuit-7x6": ["dh-attack", "--p", "7", "--g", "3", "--secret", "2",
@@ -76,6 +78,7 @@ HASHES = {
     "search-all-wild": "b9721e243fc8870e1ac030938ee18ed8d0440d9ebe99a1ba997ac03a0f283cac",
     "search-seeded-rounds": "29a0bfd21e5221977ed943b476299491e6edc2975b4e0ef773b2e9238182da69",
     "search-seeded-kickback-single": "654c531df9a368eadd0f595ed9fe1dca463bb7d7541f6141080a32266f4dfb4c",
+    "search-seeded-single-300-rounds": "c00b9062018b2b31403b626780c3f37d832151700b7865d5257d6ec94aa43efa",
     "attack-circuit-7x4": "21ece833fbd5bcf1076f8cc2e1971a7d4d357e15658e595e996df56d40c898c0",
     "attack-circuit-7x6": "4c92c30c11d3fd23112dab245c5b092be476af2034b79fa20384794b5b5797cf",
     "attack-circuit-7x4-single": "d6e7c40cc90e88ccfe80ee01d318526ec2da7ddb82881f6871985cd2c80f174f",

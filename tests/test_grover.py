@@ -352,6 +352,15 @@ class TestReadIndex:
         with pytest.raises(RuntimeError, match=r"stray \(residual 1\.000e\+00\)"):
             grover.read_index(circuit, 0, np.complex128, None, "stray")
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_leak_below_single_precision_rounding_raises(self, dtype):
+        # Qubit 14 leaves its start on one index value of 2**14: a weight of
+        # 2**-14 leaks, less than rounding costs a long single-precision run.
+        circuit = Circuit(15, registers={"index": Register("index", tuple(range(14)))})
+        circuit.add(*(H(q) for q in range(14)), MCX([(q, True) for q in range(14)], 14))
+        with pytest.raises(RuntimeError, match="leak"):
+            grover.read_index(circuit, 0, dtype, None, "leak")
+
 
 def test_one_iteration_geometry():
     # After one oracle+diffuser pass on a fresh uniform state the winner

@@ -27,8 +27,8 @@ from gdict.grover import ORACLE_MODES, Clause, optimal_rounds, run_search, succe
 from gdict.sim import apply_circuit, apply_gate, marginal_distribution, new_state
 
 DTYPES = st.sampled_from((np.complex128, np.complex64))
-# Agreement with the closed form and between oracle modes, per precision:
-# the tolerances read_index allows a residual.
+# Rounding allowed, per precision, between a run and the closed form and
+# between the two oracle modes; read_index itself allows no leak at all.
 TOLERANCE = {np.complex128: 1e-9, np.complex64: 1e-4}
 
 
