@@ -178,7 +178,7 @@ def _cmd_verify_arith(args) -> int:
     elif args.family == "modadd":
         reports.append(check_modular_adder(args.modulus))
     elif args.family == "modmul":
-        reports.append(check_modular_multiplier(args.modulus, args.a or None))
+        reports.append(check_modular_multiplier(args.modulus, args.a))
     else:  # modexp
         reports.append(check_modexp(args.g, args.modulus))
     ok = True
@@ -262,9 +262,9 @@ def _cmd_gatecount(args) -> int:
 
 
 def _constants(text: str) -> list[int]:
-    # --a's comma-separated modmul constants; an empty --a means every one.
+    # --a's comma-separated modmul constants.
     try:
-        return [int(a) for a in text.split(",")] if text else []
+        return [int(a) for a in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 

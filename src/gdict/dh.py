@@ -51,32 +51,14 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-# Miller-Rabin with the first twelve primes as bases is deterministic below
-# 3.18e23 (Sorenson and Webster, Math. Comp. 86, 2017), far past any modulus
-# a state vector can search.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for a in _PRIME_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _is_mersenne_prime(p: int) -> bool:
+    # Lucas-Lehmer (D. H. Lehmer, Ann. Math. 31, 1930): p = 2**k - 1 with
+    # k >= 3 is prime exactly when k - 2 steps of s -> s*s - 2 mod p from
+    # s = 4 end at 0, whether or not k is prime.
+    s = 4
+    for _ in range(p.bit_length() - 2):
+        s = (s * s - 2) % p
+    return p == 3 or s == 0
 
 
 # An attack searches the exponent register plus at least one index qubit,
@@ -89,14 +71,15 @@ MAX_MODULUS_BITS = MAX_BASIS_QUBITS - 1
 
 @dataclass(frozen=True)
 class DHParams:
-    """Public modulus and base; p must be a Mersenne prime, g a primitive root."""
+    """Public modulus and base; p must be a Mersenne prime, g a primitive root.
+
+    Checked in this order, the first failure raising: p = 2**k - 1, p within
+    MAX_MODULUS_BITS bits, p prime, 1 < g < p, and g a primitive root mod p."""
 
     p: int
     g: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
         if not is_supported_modulus(self.p):
             raise UnsupportedModulusError(
                 f"modulus {self.p} is not of the form 2**k - 1"
@@ -104,6 +87,8 @@ class DHParams:
         if self.p.bit_length() > MAX_MODULUS_BITS:
             raise ValueError(f"modulus {self.p} has {self.p.bit_length()} bits, past the "
                              f"{MAX_MODULUS_BITS}-bit limit on searchable moduli")
+        if not _is_mersenne_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
         if not 1 < self.g < self.p:
             raise ValueError(f"base {self.g} out of range for modulus {self.p}")
         order = self.p - 1

@@ -269,7 +269,7 @@ def _run_basis(circuit: Circuit, basis: int) -> int:
     amps = state.amplitudes
     idx = int(np.argmax(np.abs(amps)))
     if amps[idx] != 1.0:
-        raise AssertionError(
+        raise RuntimeError(
             f"basis input {basis} produced a non-classical state (peak {amps[idx]})"
         )
     return idx

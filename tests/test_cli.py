@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gdict.modarith as modarith
 from conftest import REFERENCE_RECORDS, random_database
 from gdict.cli import main
-from gdict.sim import MAX_QUBITS_ENV
+from gdict.sim import MAX_QUBITS_ENV, Z
 
 
 @pytest.fixture
@@ -156,12 +157,25 @@ class TestVerifyArith:
         assert captured.err == f"error: verify-arith {family} does not take {flag}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("value", ["3,x", "3,"])
+    @pytest.mark.parametrize("value", ["3,x", "3,", ""])
     def test_bad_constants_name_their_flag(self, capsys, value):
         assert main(["verify-arith", "modmul", "--a", value]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: argument --a: not comma-separated integers: {value!r}\n"
         assert captured.out == ""
+
+    def test_non_classical_output_is_a_verification_failure(self, monkeypatch, capsys):
+        # A Z on m's low qubit, which holds N's low bit 1, gives every case a
+        # sign of -1; a broken constructor must exit 2, not raise a traceback.
+        build = modarith.modular_adder
+
+        def broken(n, N):
+            circuit = build(n, N)
+            return circuit.add(Z(circuit.registers["m"].qubits[0]))
+
+        monkeypatch.setattr(modarith, "modular_adder", broken)
+        assert main(["verify-arith", "modadd", "--modulus", "3"]) == 2
+        assert capsys.readouterr().err.startswith("verification failure: basis input")
 
 
 class TestDHAttack:

@@ -9,6 +9,7 @@ import gdict.dh as dh
 from gdict.cli import main
 from gdict.dh import (
     CIRCUIT_ORACLE,
+    MAX_MODULUS_BITS,
     PRECOMPUTED_ORACLE,
     CandidateSet,
     DHParams,
@@ -25,6 +26,10 @@ from gdict.grover import success_probability
 from gdict.sim import MCX, X
 
 
+# k with 2**k - 1 prime, up to MAX_MODULUS_BITS (OEIS A000043).
+MERSENNE_EXPONENTS = [2, 3, 5, 7, 13, 17, 19, 31, 61]
+
+
 @pytest.fixture(scope="module")
 def params() -> DHParams:
     return DHParams(7, 3)
@@ -38,7 +43,7 @@ class TestParams:
     def test_not_prime(self):
         with pytest.raises(ValueError):
             DHParams(15, 2)
-        # 2**11 - 1 = 23 * 89 passes the base-2 Miller-Rabin round.
+        # 2**11 - 1 = 23 * 89 is the first composite 2**k - 1 with a prime k.
         with pytest.raises(ValueError, match="not prime"):
             DHParams(2047, 2)
 
@@ -56,6 +61,28 @@ class TestParams:
         assert main(["dh-attack", "--p", str(2**bits - 1), "--g", "3", "--secret", "5"]) == 1
         assert "61-bit limit" in capsys.readouterr().err
         assert time.perf_counter() - start < 0.5
+
+    def test_not_prime_exactly_off_the_mersenne_exponents(self):
+        # g = 2 has order k mod 2**k - 1, so a prime modulus past 3 still
+        # fails, but on its primitive root, not on primality.
+        rejected = set()
+        for k in range(2, MAX_MODULUS_BITS + 1):
+            try:
+                DHParams(2**k - 1, 2)
+            except ValueError as exc:
+                if "not prime" in str(exc):
+                    rejected.add(k)
+        assert rejected == set(range(2, MAX_MODULUS_BITS + 1)) - set(MERSENNE_EXPONENTS)
+
+    def test_lucas_lehmer_past_the_width_limit(self):
+        found = [k for k in range(2, 128) if dh._is_mersenne_prime(2**k - 1)]
+        assert found == MERSENNE_EXPONENTS + [89, 107, 127]
+
+    def test_form_and_width_come_before_primality(self):
+        with pytest.raises(UnsupportedModulusError, match="not of the form"):
+            DHParams(12, 5)
+        with pytest.raises(ValueError, match="61-bit limit"):
+            DHParams(2**67 - 1, 3)  # 193707721 * 761838257287
 
     def test_not_primitive_root(self):
         with pytest.raises(ValueError):
