@@ -262,11 +262,14 @@ def _cmd_gatecount(args) -> int:
 
 
 def _constants(text: str) -> list[int]:
-    # --a's comma-separated modmul constants.
+    # --a's comma-separated modmul constants, each at most once.
     try:
-        return [int(a) for a in text.split(",")]
+        constants = [int(a) for a in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    if len(set(constants)) != len(constants):
+        raise argparse.ArgumentTypeError(f"repeats a constant: {text!r}")
+    return constants
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

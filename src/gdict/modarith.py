@@ -267,12 +267,11 @@ def _run_basis(circuit: Circuit, basis: int) -> int:
     state = new_state(circuit.num_qubits, basis)
     apply_circuit(state, circuit)
     amps = state.amplitudes
-    idx = int(np.argmax(np.abs(amps)))
-    if amps[idx] != 1.0:
-        raise RuntimeError(
-            f"basis input {basis} produced a non-classical state (peak {amps[idx]})"
-        )
-    return idx
+    nonzero = np.flatnonzero(amps != 0)  # same indices, faster than on complex values
+    if nonzero.size != 1 or amps[nonzero[0]] != 1.0:
+        peak = amps[np.argmax(np.abs(amps))]
+        raise RuntimeError(f"basis input {basis} produced a non-classical state (peak {peak})")
+    return int(nonzero[0])
 
 
 def _failures(circuit: Circuit, cases) -> tuple[int, list[str]]:

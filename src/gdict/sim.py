@@ -1,15 +1,18 @@
 """State-vector simulation of reversible circuits.
 
-A StateVector holds all 2**q amplitudes.  What a gate does is its plan
-(``Gate.plan``): an op with the bit masks of its controls, their pattern
-and its targets, computed on first use and kept on the gate.
+A StateVector holds all 2**q amplitudes.  A gate's plan (``Gate.plan``)
+is an op with the bit masks of its controls, their pattern and its
+targets, computed on first use and kept on the gate, which the dense
+kernels read; ``evaluate_classical`` reads the controls and targets.
 ``apply_circuit`` checks every gate's qubit mask against the state before
 it changes the state, then runs gates on the state's nonzero support, the
 (basis index, amplitude) pairs, while that support holds at most
-SUPPORT_MAX_SHARE of the amplitudes; past that share it writes the support
-back and runs the remaining gates on the dense kernels that ``apply_gate``
-uses.  Both kernel sets read the plan, are plain numpy, and compute the
-same amplitudes bit for bit.
+SUPPORT_MAX_SHARE of the amplitudes: each run of gates without H is
+bit-sliced over the support's indices by ``evaluate_classical``, and each H
+pairs amplitudes in the support's H kernel.  Past that share it writes the
+support back and runs the remaining gates on the dense kernels that
+``apply_gate`` uses.  Every path is plain numpy and computes the same
+amplitudes bit for bit.
 
 Conventions used throughout the package:
 
@@ -151,7 +154,7 @@ class Gate:
     @cached_property
     def plan(self) -> tuple[str, int, int, int]:
         """(op, control mask, control pattern under the mask, target bits),
-        which both kernel sets read: X/MCX flip the target bits where the
+        which the dense kernels read: X/MCX flip the target bits where the
         controls match; Z/MCZ negate where they match, Z's target counting
         as a control.  ``mask | bits`` holds every qubit the gate touches."""
         mask = sum(1 << c for c, _ in self.controls)
@@ -386,50 +389,101 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-# Support kernels, used by ``apply_circuit``: X/MCX and SWAP rewrite basis
-# indices, Z/MCZ negate amplitudes, H merges index pairs that differ only
-# in its target, computing the dense kernel's sums, and drops exact zeros.
-# Their cost grows with the support, not with 2**q.  Measured per gate kind
-# at q=16..22 against the numpy dense kernels, a support of 1/16 of 2**q
-# costs 0.5-1.2x for H and at most 0.7x for the other kinds; at 1/8, H
-# costs 1.6-2.6x and a 4-control MCZ 1.2-1.4x.  Hence the share below.
+def evaluate_classical(gates, num_qubits: int, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run H-free gates on many basis states at once.
+
+    Returns the int64 basis index each of the int64 ``inputs`` ends in, and
+    a boolean per input that is True where Z and MCZ left it with sign -1.
+    The inputs are bit-sliced (Biham, FSE 1997): qubit k is one Python int
+    whose bit j is bit k of input j.  X and MCX XOR the AND of their control
+    rows, complemented for negative controls, into the target row; SWAP
+    exchanges two rows; Z and MCZ XOR that AND, Z's target counting as a
+    control, into a sign row.  Each gate is thus a few big-int operations
+    on all inputs.  Raises ValueError on H, which is no permutation, on a
+    qubit outside ``num_qubits``, and past MAX_BASIS_QUBITS, where int64
+    indices end.
+    """
+    if num_qubits > MAX_BASIS_QUBITS:
+        raise ValueError(f"{num_qubits} qubits exceed the {MAX_BASIS_QUBITS} of an int64 index")
+    inputs = np.ascontiguousarray(inputs, dtype="<i8")
+    n, width = inputs.size, (inputs.size + 7) // 8
+    # Bit k of input j at [j, k]; the rows are its first num_qubits columns,
+    # packed to bytes, so no temporary holds more than 64 bytes per input.
+    bits = np.unpackbits(inputs.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
+    packed = np.packbits(bits[:, :num_qubits].T, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[k * width:(k + 1) * width], "little")
+            for k in range(num_qubits)]
+    everyone = (1 << n) - 1
+    sign = 0
+    try:
+        for gate in gates:
+            kind = gate.kind
+            if kind == "SWAP":
+                a, b = gate.targets
+                rows[a], rows[b] = rows[b], rows[a]
+                continue
+            if kind == "H":
+                raise ValueError("H gate has no classical evaluation")
+            fire = everyone
+            for c, positive in gate.controls:
+                fire &= rows[c] if positive else ~rows[c]
+            if kind == "X" or kind == "MCX":
+                rows[gate.targets[0]] ^= fire
+            else:  # Z and MCZ
+                for t in gate.targets:
+                    fire &= rows[t]
+                sign ^= fire
+    except IndexError:  # a qubit past the rows: name it
+        _check_gates(gates, num_qubits)
+        raise
+    rows.append(sign)
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    rows = np.unpackbits(packed.reshape(num_qubits + 1, width), axis=1, count=n,
+                         bitorder="little")
+    bits[:, :num_qubits] = rows[:num_qubits].T
+    outputs = np.packbits(bits, axis=1, bitorder="little").view("<i8").reshape(n)
+    return outputs, rows[num_qubits].astype(bool)
+
+
+# Support kernel for H, used by ``apply_circuit``: it merges index pairs
+# that differ only in its target, computing the dense kernel's sums, and
+# drops exact zeros.  Its cost grows with the support, not with 2**q.
+# Measured against the numpy dense kernels at q=16..22, a support of 1/16
+# of 2**q costs 0.5-1.2x for H, and 1/8 costs 1.6-2.6x.  Hence the share
+# below.
 SUPPORT_MAX_SHARE = 1 / 16
 
 
 def _apply_gate_support(idx: np.ndarray, vals: np.ndarray, gate: Gate):
-    # The gate on the (basis index, amplitude) pairs of the nonzero
-    # amplitudes; returns the new pairs, in no particular order.
-    op, mask, want, bits = gate.plan
-    if op == "flip":
-        np.bitwise_xor(idx, bits, out=idx, where=(idx & mask) == want)
-    elif op == "negate":
-        np.negative(vals, out=vals, where=(idx & mask) == want)
-    elif op == "SWAP":
-        a, b = gate.targets
-        np.bitwise_xor(idx, bits, out=idx, where=((idx >> a) ^ (idx >> b)) & 1 != 0)
-    else:  # H: pair up indices that differ only in the target bit
-        pairs, slot = np.unique(idx & ~bits, return_inverse=True)
-        one = (idx & bits) != 0
-        a0 = np.zeros(pairs.size, dtype=vals.dtype)
-        a1 = np.zeros(pairs.size, dtype=vals.dtype)
-        a0[slot[~one]] = vals[~one]
-        a1[slot[one]] = vals[one]
-        s = vals.dtype.type(2 ** -0.5)
-        idx = np.concatenate((pairs, pairs | bits))
-        vals = np.concatenate(((a0 + a1) * s, (a0 - a1) * s))
-        keep = vals != 0
-        idx, vals = idx[keep], vals[keep]
-    return idx, vals
+    # H on the (basis index, amplitude) pairs of the nonzero amplitudes;
+    # returns the new pairs, in no particular order.
+    bits = gate.plan[3]
+    pairs, slot = np.unique(idx & ~bits, return_inverse=True)
+    one = (idx & bits) != 0
+    a0 = np.zeros(pairs.size, dtype=vals.dtype)
+    a1 = np.zeros(pairs.size, dtype=vals.dtype)
+    a0[slot[~one]] = vals[~one]
+    a1[slot[one]] = vals[one]
+    s = vals.dtype.type(2 ** -0.5)
+    idx = np.concatenate((pairs, pairs | bits))
+    vals = np.concatenate(((a0 + a1) * s, (a0 - a1) * s))
+    keep = vals != 0
+    return idx[keep], vals[keep]
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply all gates in order; requires circuit fits inside the state.
 
     Every gate's qubits are checked before the state changes, so a bad gate
-    raises ValueError with the state untouched.  Gates run on the nonzero
-    support of the state while it holds at most SUPPORT_MAX_SHARE of the
-    2**q amplitudes; past that, the support is written back and the
-    remaining gates run on the dense kernels.  Both paths compute the same
+    raises ValueError with the state untouched.  While the state's nonzero
+    support holds at most SUPPORT_MAX_SHARE of the 2**q amplitudes, each
+    maximal run of gates without H is one ``evaluate_classical`` call on the
+    support's basis indices, which then negates the amplitudes it signs,
+    and each H runs on the support's (index, amplitude) pairs.  Only H
+    changes the support's size, so only after an H can it outgrow its
+    share; then the support is written back and the remaining gates run on
+    the dense kernels.  Permutations and signs are exact and H pairs
+    amplitudes whatever their order, so every path computes the same
     amplitudes bit for bit.
     """
     q = state.num_qubits
@@ -440,13 +494,21 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     amps = state.amplitudes
     limit = int(amps.size * SUPPORT_MAX_SHARE)
     done = 0
-    idx = np.flatnonzero(amps != 0)  # same indices, faster than on complex values
-    if idx.size <= limit:
-        vals = amps[idx]
-        while done < len(gates) and idx.size <= limit:
+    start = np.flatnonzero(amps != 0)  # same indices, faster than on complex values
+    if start.size <= limit:
+        idx, vals = start, amps[start]
+        for stop in [i for i, g in enumerate(gates) if g.kind == "H"] + [len(gates)]:
+            if done < stop:
+                idx, negative = evaluate_classical(gates[done:stop], q, idx)
+                np.negative(vals, out=vals, where=negative)
+                done = stop
+            if done == len(gates):
+                break
             idx, vals = _apply_gate_support(idx, vals, gates[done])
             done += 1
-        amps.fill(0)
+            if idx.size > limit:
+                break
+        amps[start] = 0
         amps[idx] = vals
     for gate in gates[done:]:
         _apply_gate_dense(amps, q, gate)

@@ -164,6 +164,14 @@ class TestVerifyArith:
         assert captured.err == f"error: argument --a: not comma-separated integers: {value!r}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["3,3", "1,2,1"])
+    def test_repeated_constant_is_refused(self, capsys, value):
+        # A repeated constant would be checked twice and counted twice.
+        assert main(["verify-arith", "modmul", "--a", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument --a: repeats a constant: {value!r}\n"
+        assert captured.out == ""
+
     def test_non_classical_output_is_a_verification_failure(self, monkeypatch, capsys):
         # A Z on m's low qubit, which holds N's low bit 1, gives every case a
         # sign of -1; a broken constructor must exit 2, not raise a traceback.

@@ -18,7 +18,9 @@ from gdict.modarith import (
     sum_block,
     require_supported_modulus,
 )
-from gdict.sim import MCZ, SWAP, Circuit, X, apply_circuit, apply_gate, H, inverse, new_state
+from gdict.sim import (
+    MCZ, SWAP, Circuit, X, apply_circuit, apply_gate, evaluate_classical, H, inverse, new_state,
+)
 
 
 def run_classical(circuit: Circuit, basis: int) -> int:
@@ -362,6 +364,19 @@ class TestClassicalReference:
             out, sign = evaluate_classically(circuit, basis)
             assert out.tolist() == [modarith._run_basis(circuit, int(b)) for b in basis]
             assert (sign == 1).all()
+
+    @pytest.mark.parametrize("check, args", [
+        (check_modular_adder, (7,)),
+        (check_modexp, (3, 7)),
+    ], ids=["modadd", "modexp"])
+    def test_bit_sliced_evaluator_agrees(self, monkeypatch, check, args):
+        runs = captured_cases(monkeypatch, check, *args)
+        for circuit, cases in runs:
+            basis = case_bases(circuit, cases)
+            out, sign = evaluate_classically(circuit, basis)
+            got, negative = evaluate_classical(circuit.gates, circuit.num_qubits, basis)
+            assert got.tolist() == out.tolist()
+            assert negative.tolist() == (sign == -1).tolist()
 
     @pytest.mark.parametrize("check, args, cases", [
         (check_modular_adder, (31,), 961),

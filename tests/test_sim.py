@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdict.sim as sim
 from gdict.errors import CapacityError, ParseError
@@ -364,6 +366,101 @@ def test_kernels_match_reference_per_gate_kind():
                 want = reference_gate(want, g)
             got = apply_circuit(new_state(q, basis, dtype=dtype), Circuit(q, gates))
             assert_matches_reference(got.amplitudes, want, gates)
+
+
+@st.composite
+def gates_on(draw, num_qubits: int) -> Gate:
+    kind = draw(st.sampled_from(sim.GATE_KINDS))
+    n_targets = {"SWAP": 2, "MCZ": 0}.get(kind, 1)
+    n_controls = 0
+    if kind in ("MCX", "MCZ"):
+        n_controls = draw(st.integers(1 if kind == "MCZ" else 0, num_qubits - n_targets))
+    qubits = draw(st.permutations(range(num_qubits)))[: n_controls + n_targets]
+    polarities = draw(st.lists(st.booleans(), min_size=n_controls, max_size=n_controls))
+    return Gate(kind, tuple(qubits[n_controls:]), tuple(zip(qubits[:n_controls], polarities)))
+
+
+@st.composite
+def circuits_and_states(draw):
+    # A random circuit and a state whose support starts within
+    # SUPPORT_MAX_SHARE (where there is room) or past it.
+    q = draw(st.integers(2, 12))
+    gates = draw(st.lists(gates_on(q), max_size=40))
+    dtype = draw(st.sampled_from([np.complex128, np.complex64]))
+    limit = int((1 << q) * sim.SUPPORT_MAX_SHARE)
+    if limit and draw(st.booleans()):
+        size = draw(st.integers(1, limit))
+    else:
+        size = draw(st.integers(limit + 1, 1 << q))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << q, dtype=dtype)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps[rng.choice(1 << q, size, replace=False)] = values
+    return Circuit(q, gates), amps
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits_and_states())
+def test_apply_circuit_equals_per_gate_loop(case):
+    circuit, amps = case
+    q = circuit.num_qubits
+    ref = sim.StateVector(q, amps.copy())
+    for g in circuit.gates:
+        apply_gate(ref, g)
+    got = apply_circuit(sim.StateVector(q, amps.copy()), circuit)
+    assert np.array_equal(got.amplitudes, ref.amplitudes)
+
+
+class TestEvaluateClassical:
+    def test_permutes_and_signs_every_input(self):
+        out, negative = sim.evaluate_classical(
+            [X(0), SWAP(0, 2), MCZ([(1, False), (2, True)])], 3, np.arange(8))
+        assert out.tolist() == [4, 0, 6, 2, 5, 1, 7, 3]
+        assert negative.tolist() == [True, False, False, False, True, False, False, False]
+
+    def test_refuses_h(self):
+        with pytest.raises(ValueError, match="H gate"):
+            sim.evaluate_classical([X(0), H(1)], 2, np.arange(4))
+
+    def test_qubit_out_of_range(self):
+        with pytest.raises(ValueError, match="qubit 3 out of range"):
+            sim.evaluate_classical([X(0), CNOT(3, 1)], 3, np.arange(8))
+
+    def test_past_an_int64_index(self):
+        with pytest.raises(ValueError, match="63 qubits exceed the 62"):
+            sim.evaluate_classical([X(62)], 63, np.arange(4))
+
+    def test_no_inputs(self):
+        out, negative = sim.evaluate_classical([X(0), Z(1)], 2, np.array([], dtype=np.int64))
+        assert out.size == negative.size == 0
+
+    def test_sign_set_exactly_where_controls_match(self):
+        # Every Z and every MCZ on 3 qubits, over all 8 basis inputs: the
+        # input keeps its index and gets sign -1 exactly where each control
+        # reads its polarity (Z's target counting as a positive control).
+        inputs = np.arange(8)
+        gates = [Z(t) for t in range(3)]
+        for mask in range(1, 8):
+            for pattern in range(8):
+                gates.append(MCZ([(k, bool(pattern >> k & 1)) for k in range(3) if mask >> k & 1]))
+        for gate in gates:
+            controls = gate.controls or ((gate.targets[0], True),)
+            want = [all((i >> c & 1) == pos for c, pos in controls) for i in range(8)]
+            out, negative = sim.evaluate_classical([gate], 3, inputs)
+            assert out.tolist() == inputs.tolist()
+            assert negative.tolist() == want
+
+    def test_inputs_past_a_byte_and_high_qubits(self):
+        # Rows span several bytes and qubits reach bit 61, the top of an
+        # int64 basis index.
+        rng = np.random.default_rng(5)
+        inputs = rng.integers(0, 1 << 62, size=37)
+        out, negative = sim.evaluate_classical([CNOT(61, 0), SWAP(3, 60), Z(61)], 62, inputs)
+        want = inputs ^ (inputs >> 61 & 1)
+        differ = (want >> 3 ^ want >> 60) & 1
+        want ^= differ << 3 | differ << 60
+        assert out.tolist() == want.tolist()
+        assert negative.tolist() == (inputs >> 61 & 1 == 1).tolist()
 
 
 class TestMarginal:
