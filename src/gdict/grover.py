@@ -42,7 +42,7 @@ from .sim import (
     inverse,
     new_state,
 )
-# read_index reads the index from one gather; perfbench/tracing.py still patches this name here.
+# read_index reads the index from the state's support; perfbench/tracing.py still patches this name here.
 from .sim import marginal_distribution  # noqa: F401
 
 PHASE_FLIP = "phase_flip"
@@ -231,22 +231,24 @@ def read_index(circuit: Circuit, start: int, dtype, max_qubits: int | None,
     """Simulate ``circuit`` from |0> and read its "index" register.
 
     A correct run leaves every qubit outside the index register in the basis
-    pattern ``start`` and every amplitude off it an exact 0.0, so the squares
-    of the 2**m amplitudes at ``index value | start``, read in one gather, are
-    the index marginal bit for bit.  Any other nonzero amplitude, in either
-    precision, raises RuntimeError with the ``failure`` message; the residual,
-    1 minus the index weight floored at 0.0, decides nothing (rounding alone
-    lifts it past 1e-4 in single precision).  Returns the index distribution,
-    its most probable value (the lowest on a tie) and the residual.
+    pattern ``start``, so the state's nonzero support lies on the 2**m
+    indices ``index value | start``, and the squares of its amplitudes there
+    are the index marginal bit for bit.  Any nonzero amplitude off that
+    pattern, in either precision, raises RuntimeError with the ``failure``
+    message; the residual, 1 minus the index weight floored at 0.0, decides
+    nothing (rounding alone lifts it past 1e-4 in single precision).
+    Returns the index distribution, its most probable value (the lowest on
+    a tie) and the residual.
     """
     state = new_state(circuit.num_qubits, 0, dtype=dtype, max_qubits=max_qubits)
     apply_circuit(state, circuit)
     index = circuit.registers["index"]
-    on_pattern = index.place_value(np.arange(1 << len(index))) | start
-    probs = np.abs(state.amplitudes[on_pattern]) ** 2
+    idx, vals = state.support()
+    on_pattern = (idx & ~index.place_value((1 << len(index)) - 1)) == start
+    probs = np.zeros(1 << len(index), dtype=vals.real.dtype)
+    probs[index.value_of(idx[on_pattern])] = np.abs(vals[on_pattern]) ** 2
     residual = max(0.0, 1.0 - float(np.sum(probs)))
-    state.amplitudes[on_pattern] = 0
-    if state.amplitudes.any():
+    if not on_pattern.all():
         raise RuntimeError(f"{failure} (residual {residual:.3e})")
     return dict(enumerate(probs.tolist())), int(np.argmax(probs)), residual
 

@@ -264,14 +264,18 @@ class CheckReport:
 
 
 def _run_basis(circuit: Circuit, basis: int) -> int:
+    """The basis index ``circuit`` takes |basis> to.  The state is read as
+    its support, which for these X/MCX/SWAP circuits stays one pair, so past
+    3 qubits (where SUPPORT_MAX_SHARE leaves room for one) no case
+    allocates its 2**q amplitudes.  Anything but exactly one nonzero
+    amplitude, equal to 1.0, raises RuntimeError naming the largest."""
     state = new_state(circuit.num_qubits, basis)
     apply_circuit(state, circuit)
-    amps = state.amplitudes
-    nonzero = np.flatnonzero(amps != 0)  # same indices, faster than on complex values
-    if nonzero.size != 1 or amps[nonzero[0]] != 1.0:
-        peak = amps[np.argmax(np.abs(amps))]
+    idx, vals = state.support()
+    if idx.size != 1 or vals[0] != 1.0:
+        peak = vals[np.lexsort((idx, -np.abs(vals)))[0]]  # first largest in index order
         raise RuntimeError(f"basis input {basis} produced a non-classical state (peak {peak})")
-    return int(nonzero[0])
+    return int(idx[0])
 
 
 def _failures(circuit: Circuit, cases) -> tuple[int, list[str]]:

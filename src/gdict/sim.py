@@ -1,16 +1,19 @@
 """State-vector simulation of reversible circuits.
 
-A StateVector holds all 2**q amplitudes.  A gate's plan (``Gate.plan``)
-is an op with the bit masks of its controls, their pattern and its
-targets, computed on first use and kept on the gate, which the dense
-kernels read; ``evaluate_classical`` reads the controls and targets.
+A StateVector holds its 2**q amplitudes either dense or as its nonzero
+support, the (basis index, amplitude) pairs; a fresh basis state from
+``new_state`` is a support of one pair and allocates nothing.  Reading
+``amplitudes`` makes the state dense for good, so a caller that reads or
+writes the array never meets a stale support.  A gate's plan
+(``Gate.plan``) is an op with the bit masks of its controls, their pattern
+and its targets, computed on first use and kept on the gate, which the
+dense kernels read; ``evaluate_classical`` reads the controls and targets.
 ``apply_circuit`` checks every gate's qubit mask against the state before
-it changes the state, then runs gates on the state's nonzero support, the
-(basis index, amplitude) pairs, while that support holds at most
-SUPPORT_MAX_SHARE of the amplitudes: each run of gates without H is
+it changes the state, then runs gates on the support while it holds at
+most SUPPORT_MAX_SHARE of the amplitudes: each run of gates without H is
 bit-sliced over the support's indices by ``evaluate_classical``, and each H
-pairs amplitudes in the support's H kernel.  Past that share it writes the
-support back and runs the remaining gates on the dense kernels that
+pairs amplitudes in the support's H kernel.  Past that share the state
+becomes dense and the remaining gates run on the dense kernels that
 ``apply_gate`` uses.  Every path is plain numpy and computes the same
 amplitudes bit for bit.
 
@@ -74,8 +77,9 @@ class Register:
     def __len__(self) -> int:
         return len(self.qubits)
 
-    def value_of(self, basis_index: int) -> int:
-        """Extract this register's integer value from a basis-state index."""
+    def value_of(self, basis_index):
+        """Extract this register's integer value from a basis-state index;
+        an integer array of indices gives the array of their values."""
         v = 0
         for j, q in enumerate(self.qubits):
             v |= ((basis_index >> q) & 1) << j
@@ -237,13 +241,43 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 class StateVector:
-    """2**num_qubits complex amplitudes, unit L2 norm."""
+    """2**num_qubits complex amplitudes, unit L2 norm, held dense or as
+    their nonzero support.
 
-    __slots__ = ("num_qubits", "amplitudes")
+    ``StateVector(q, amplitudes)`` is dense; ``StateVector(q,
+    support=(indices, values))`` holds the int64 basis indices of its
+    nonzero amplitudes and their values, every other amplitude 0.
+    """
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
+    __slots__ = ("num_qubits", "_amplitudes", "_support")
+
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None, *,
+                 support: tuple[np.ndarray, np.ndarray] | None = None):
         self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
+        self._amplitudes = amplitudes
+        self._support = support
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense amplitude array.  A state held as its support builds it
+        on first read and is dense from then on."""
+        if self._support is not None:
+            idx, vals = self._support
+            self._amplitudes = np.zeros(1 << self.num_qubits, dtype=vals.dtype)
+            self._amplitudes[idx] = vals
+            self._support = None
+        return self._amplitudes
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, values) of the nonzero amplitudes: the support a state
+        holds, in no particular order, or a scan of the dense array, in
+        index order.  A state's later gates never write into arrays
+        returned here."""
+        if self._support is not None:
+            return self._support
+        amps = self._amplitudes
+        idx = np.flatnonzero(amps != 0)
+        return idx, amps[idx]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -259,11 +293,12 @@ def new_state(
     dtype=np.complex128,
     max_qubits: int | None = None,
 ) -> StateVector:
-    """Computational basis state |basis_value> on ``num_qubits`` qubits."""
+    """Computational basis state |basis_value> on ``num_qubits`` qubits,
+    held as its one-pair support: it passes ``check_state`` as a dense
+    state would, but allocates its 2**q amplitudes only when they are read."""
     check_state(num_qubits, basis_value, dtype=dtype, max_qubits=max_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=dtype)
-    amps[basis_value] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(num_qubits, support=(np.array([basis_value], dtype=np.int64),
+                                            np.ones(1, dtype=dtype)))
 
 
 def check_state(
@@ -479,28 +514,32 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     support holds at most SUPPORT_MAX_SHARE of the 2**q amplitudes, each
     maximal run of gates without H is one ``evaluate_classical`` call on the
     support's basis indices, which then negates the amplitudes it signs,
-    and each H runs on the support's (index, amplitude) pairs.  Only H
-    changes the support's size, so only after an H can it outgrow its
-    share; then the support is written back and the remaining gates run on
-    the dense kernels.  Permutations and signs are exact and H pairs
-    amplitudes whatever their order, so every path computes the same
-    amplitudes bit for bit.
+    and each H runs on the support's (index, amplitude) pairs.  The support
+    comes from ``state.support()``, so a state held as its support is never
+    scanned.  Only H changes the support's size, so only after an H can it
+    outgrow its share.  A state held as its support stays so unless it
+    outgrows the share; a dense state is written back in place.  Past the
+    share the remaining gates run on the dense kernels.  Every step makes
+    new arrays, so none returned by ``support()`` changes.  Permutations
+    and signs are exact and H pairs amplitudes whatever their order, so
+    every path computes the same amplitudes bit for bit.
     """
     q = state.num_qubits
     if circuit.num_qubits > q:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, state has {q}")
     gates = circuit.gates
     _check_gates(gates, q)
-    amps = state.amplitudes
-    limit = int(amps.size * SUPPORT_MAX_SHARE)
+    limit = int((1 << q) * SUPPORT_MAX_SHARE)
     done = 0
-    start = np.flatnonzero(amps != 0)  # same indices, faster than on complex values
-    if start.size <= limit:
-        idx, vals = start, amps[start]
+    start, vals = state.support()
+    if start.size > limit:
+        amps = state.amplitudes
+    else:
+        idx = start
         for stop in [i for i, g in enumerate(gates) if g.kind == "H"] + [len(gates)]:
             if done < stop:
                 idx, negative = evaluate_classical(gates[done:stop], q, idx)
-                np.negative(vals, out=vals, where=negative)
+                vals = np.where(negative, -vals, vals)
                 done = stop
             if done == len(gates):
                 break
@@ -508,6 +547,10 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             done += 1
             if idx.size > limit:
                 break
+        if idx.size <= limit and state._support is not None:
+            state._support = (idx, vals)
+            return state
+        amps = state.amplitudes
         amps[start] = 0
         amps[idx] = vals
     for gate in gates[done:]:

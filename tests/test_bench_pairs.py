@@ -56,3 +56,49 @@ def test_flags_incorrect_runs_and_missing_metrics():
         "FLAG: parent run 2: correct False, 0/40 operations failed",
         "FLAG: change run 1: correct True, 3/40 operations failed",
     ]
+
+
+TRACED_STDOUT = """workload search seed 7 seconds 6 trace 1
+machine {"cpus": 2}
+info {"all_gates_traced": true, "traced_outputs_identical": true, "unattributed_share": 0.0015}
+fail_ratio 0 (0/204), correct True
+  sim.apply_circuit_s          0.0164529 s
+{"correct": true, "attempted": 204, "failed": 0, "metrics": {"sim.apply_circuit_s": {"value": 0.0164529, "unit": "s"}}}
+"""
+
+
+def traced(correct=True, gates=True, identical=True, share=0.0015, failed=0):
+    return {"correct": correct, "attempted": 204, "failed": failed,
+            "info": {"all_gates_traced": gates, "traced_outputs_identical": identical,
+                     "unattributed_share": share}}
+
+
+def test_parse_output_keeps_the_info_line():
+    result = bench_pairs.parse_output(TRACED_STDOUT)
+    assert result == traced() | {"metrics": {"sim.apply_circuit_s": {"value": 0.0164529, "unit": "s"}}}
+
+
+def test_traced_summary_passes_a_clean_run():
+    lines = bench_pairs.summarize_traced({"parent": traced(), "change": traced(share=0.00199)})
+    assert lines == [
+        "traced runs (unattributed gate 0.2%):",
+        "parent: correct True, all_gates_traced True, traced_outputs_identical True, "
+        "unattributed_share 0.150%, 0/204 operations failed",
+        "change: correct True, all_gates_traced True, traced_outputs_identical True, "
+        "unattributed_share 0.199%, 0/204 operations failed",
+    ]
+
+
+def test_traced_summary_flags_each_failing_check():
+    lines = bench_pairs.summarize_traced({
+        "parent": traced(share=0.0021),
+        "change": traced(correct=False, gates=False, identical=False, failed=2),
+    })
+    assert lines[2] == "FLAG: parent traced run fails unattributed_share"
+    assert lines[4] == ("FLAG: change traced run fails correct, all_gates_traced, "
+                        "traced_outputs_identical, failed operations")
+    # An older benchmark's output without the trace fields fails them.
+    lines = bench_pairs.summarize_traced({"change": {"correct": True, "attempted": 4,
+                                                     "failed": 0, "info": {}}})
+    assert lines[-1] == ("FLAG: change traced run fails all_gates_traced, "
+                         "traced_outputs_identical, unattributed_share")

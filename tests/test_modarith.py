@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,19 @@ class TestModularAdder:
     def test_exhaustive_n3(self):
         report = check_modular_adder(3)
         assert report.passed, report.failures[:5]
+
+    def test_modulus_31_in_bounded_memory(self):
+        # 22 qubits, where one dense state takes 64 MB: each case's basis
+        # state stays a support of one pair from new_state to its verdict.
+        tracemalloc.start()
+        try:
+            report = check_modular_adder(31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed, report.failures[:5]
+        assert report.cases == 961
+        assert peak < 8 << 20
 
     def test_additive_identity(self):
         circuit = modular_adder(3, 7)

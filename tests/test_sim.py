@@ -370,7 +370,7 @@ def test_kernels_match_reference_per_gate_kind():
 
 @st.composite
 def gates_on(draw, num_qubits: int) -> Gate:
-    kind = draw(st.sampled_from(sim.GATE_KINDS))
+    kind = draw(st.sampled_from([k for k in sim.GATE_KINDS if num_qubits > 1 or k != "SWAP"]))
     n_targets = {"SWAP": 2, "MCZ": 0}.get(kind, 1)
     n_controls = 0
     if kind in ("MCX", "MCZ"):
@@ -409,6 +409,79 @@ def test_apply_circuit_equals_per_gate_loop(case):
         apply_gate(ref, g)
     got = apply_circuit(sim.StateVector(q, amps.copy()), circuit)
     assert np.array_equal(got.amplitudes, ref.amplitudes)
+
+
+@st.composite
+def circuits_from_basis_states(draw):
+    # A random circuit with an H layer on k distinct qubits somewhere in it:
+    # from a basis state that layer alone grows the support 2**k times,
+    # past SUPPORT_MAX_SHARE partway through whenever 2**k exceeds its
+    # limit, which is 0 for q <= 3.
+    q = draw(st.integers(1, 12))
+    gates = draw(st.lists(gates_on(q), max_size=40))
+    layer = draw(st.permutations(range(q)))[: draw(st.integers(0, q))]
+    at = draw(st.integers(0, len(gates)))
+    gates[at:at] = [H(k) for k in layer]
+    basis = draw(st.integers(0, (1 << q) - 1))
+    dtype = draw(st.sampled_from([np.complex128, np.complex64]))
+    return Circuit(q, gates), basis, dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits_from_basis_states())
+def test_support_state_equals_dense_run_and_per_gate_loop(case):
+    circuit, basis, dtype = case
+    q = circuit.num_qubits
+    got = apply_circuit(new_state(q, basis, dtype=dtype), circuit)
+    idx, vals = got.support()
+    order = np.argsort(idx)
+    dense = sim.StateVector(q, new_state(q, basis, dtype=dtype).amplitudes)
+    apply_circuit(dense, circuit)
+    ref = new_state(q, basis, dtype=dtype)
+    for g in circuit.gates:
+        apply_gate(ref, g)
+    assert np.array_equal(got.amplitudes, dense.amplitudes)
+    assert np.array_equal(got.amplitudes, ref.amplitudes)
+    scan = np.flatnonzero(got.amplitudes != 0)
+    assert np.array_equal(idx[order], scan)
+    assert np.array_equal(vals[order], got.amplitudes[scan])
+
+
+class TestSupportState:
+    def test_written_amplitudes_are_what_apply_circuit_acts_on(self):
+        v = np.arange(1, 9) / np.linalg.norm(np.arange(1, 9)) * (1 - 1j)
+        s = new_state(3, 5)
+        s.amplitudes[:] = v
+        apply_circuit(s, Circuit(3, [X(0), CNOT(0, 2), H(1)]))
+        ref = sim.StateVector(3, v.copy())
+        for g in (X(0), CNOT(0, 2), H(1)):
+            apply_gate(ref, g)
+        assert np.array_equal(s.amplitudes, ref.amplitudes)
+
+    def test_dense_state_is_updated_in_place(self):
+        # Six qubits: the support of 2 stays within the share limit of 4,
+        # so the support path runs and writes back into the same array.
+        s = new_state(6, 9)
+        amps = s.amplitudes
+        apply_circuit(s, Circuit(6, [X(1), H(4), MCZ([(4, True)])]))
+        assert s.amplitudes is amps
+        assert amps[11] == amps[27] * -1 == INV_SQRT2
+        assert np.count_nonzero(amps) == 2
+
+    def test_returned_support_never_changes(self):
+        s = new_state(6, 9)
+        idx, vals = s.support()
+        apply_circuit(s, Circuit(6, [Z(0), X(1), H(4)]))
+        assert idx.tolist() == [9] and vals.tolist() == [1.0]
+        assert sorted(s.support()[0].tolist()) == [11, 27]
+
+    def test_bad_gate_leaves_support_unchanged(self):
+        s = apply_circuit(new_state(6, 0b101101), Circuit(6, [H(1)]))
+        idx, vals = (a.copy() for a in s.support())
+        with pytest.raises(ValueError, match="qubit 6 out of range"):
+            apply_circuit(s, Circuit(6, [X(1), H(2), CNOT(0, 6)]))
+        assert np.array_equal(s.support()[0], idx)
+        assert np.array_equal(s.support()[1], vals)
 
 
 class TestEvaluateClassical:

@@ -15,7 +15,14 @@ for neither side) and the metric's bound.  A metric is marked ``WORSE`` when
 the change's median is worse than the parent's by more than the bound, and
 ``unresolved`` when the parent's own quartiles lie further apart than the
 bound.  Any run whose result reads ``correct: false`` or counts failed
-operations is flagged.  Exit code 0 means every run finished.
+operations is flagged.
+
+After the pairs, each checkout runs once more with ``--trace 1`` and the
+same seed.  For each such run the summary gives ``correct``,
+``all_gates_traced``, ``traced_outputs_identical`` and the share of a
+traced operation's time that falls outside every layer span, against the
+benchmark's 0.2% gate, and flags a run that fails any of them.  Exit code 0
+means every run finished.
 """
 
 from __future__ import annotations
@@ -35,18 +42,33 @@ def clear_bytecode(root: Path) -> None:
             shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_once(root: Path, workload: str, seconds: int, seed: int) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``root``: its JSON result."""
+# perfbench/child.py's MAX_UNATTRIBUTED: a traced run reads correct only
+# while at most this share of its op time falls outside every layer span.
+UNATTRIBUTED_GATE = 0.002
+
+
+def parse_output(stdout: str) -> dict:
+    """A ``perfbench/run.py`` run's JSON result, its last line, with the
+    object on its ``info`` line under the key ``info``."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["info"] = next((json.loads(line[len("info "):]) for line in lines
+                           if line.startswith("info ")), {})
+    return result
+
+
+def run_once(root: Path, workload: str, seconds: int, seed: int, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run in ``root``: its parsed output."""
     clear_bytecode(root)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: perfbench/run.py exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_output(proc.stdout)
 
 
 def _quartile_spread(values: list[float]) -> float:
@@ -90,6 +112,30 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return lines
 
 
+def summarize_traced(traced: dict[str, dict]) -> list[str]:
+    """One line per side's ``--trace 1`` run, plus a flag for each run that
+    is incorrect, fails an operation, misses a gate, changes an output
+    under tracing or leaves more than the gate's share unattributed."""
+    lines = [f"traced runs (unattributed gate {UNATTRIBUTED_GATE:.1%}):"]
+    for side, run in traced.items():
+        info = run["info"]
+        checks = {"correct": run["correct"],
+                  "all_gates_traced": info.get("all_gates_traced"),
+                  "traced_outputs_identical": info.get("traced_outputs_identical")}
+        share = info.get("unattributed_share", float("nan"))
+        lines.append(f"{side}: " + ", ".join(f"{k} {v}" for k, v in checks.items())
+                     + f", unattributed_share {share:.3%}, "
+                     f"{run['failed']}/{run['attempted']} operations failed")
+        failing = [k for k, v in checks.items() if v is not True]
+        if not share <= UNATTRIBUTED_GATE:
+            failing.append("unattributed_share")
+        if run["failed"]:
+            failing.append("failed operations")
+        if failing:
+            lines.append(f"FLAG: {side} traced run fails {', '.join(failing)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -113,12 +159,20 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
         print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+    traced = {}
+    for side in ("parent", "change"):
+        try:
+            traced[side] = run_once(roots[side], args.workload, args.seconds, args.seed, trace=1)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     print(f"workload {args.workload}, {args.pairs} pairs, {args.seconds} s, seed {args.seed}")
     print("\n".join(summarize(runs["parent"], runs["change"], end_to_end)))
     for side, side_runs in runs.items():
         for i, run in enumerate(side_runs):
             values = (f"{name}={metric['value']:.6g}" for name, metric in run["metrics"].items())
             print(f"{side} run {i + 1}: " + " ".join(values))
+    print("\n".join(summarize_traced(traced)))
     return 0
 
 
