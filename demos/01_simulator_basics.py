@@ -49,7 +49,7 @@ print("signs after MCZ on pattern 101:", np.sign(state.amplitudes.real).astype(i
 # Circuits carry named registers and serialize to a plain text format.
 circuit = Circuit(3)
 circuit.add_register(Register("pair", (0, 1)))
-circuit.add(H(0), CCX(0, 1, 2), X(1))
+circuit.extend([H(0), CCX(0, 1, 2), X(1)])
 print("\ncircuit text:")
 print(circuit_to_text(circuit))
 print("gate counts:", gate_count(circuit))

@@ -27,7 +27,6 @@ from .modarith import (
     check_modular_multiplier,
 )
 from .sim import (
-    Register,
     apply_circuit,
     gate_count,
     load_circuit,
@@ -241,11 +240,11 @@ def _cmd_simulate(args) -> int:
                 f"register {args.register!r} not in circuit "
                 f"(have {sorted(circuit.registers)})"
             )
-        register = circuit.registers[args.register]
-    else:
-        register = Register("all", tuple(range(circuit.num_qubits)))
-    dist = marginal_distribution(state, register)
-    report = {"register": register.name, "distribution": _distribution_json(dist)}
+        dist = marginal_distribution(state, circuit.registers[args.register])
+    else:  # the whole state: only its nonzero support has probability
+        idx, vals = state.support()
+        dist = dict(zip(idx.tolist(), (np.abs(vals) ** 2).tolist()))
+    report = {"register": args.register or "all", "distribution": _distribution_json(dist)}
     lines = [f"{v}: {dist[v]:.9f}" for v in sorted(dist) if dist[v] != 0.0]
     _write_result(args, report, dist, lines)
     return 0

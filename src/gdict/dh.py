@@ -228,7 +228,7 @@ def _attack_circuit(params: DHParams, target_public: int, mode: str, padded: Dat
         circuit = Circuit(exp.num_qubits, registers={"index": dictionary.index, **exp.registers})
         a_reg = exp.registers["A"]
         mark = exp.gates + [MCZ(a_reg.controls(target_public))] + exp.gates[::-1]
-        circuit.add(*map(X, a_reg.ones(1)))  # workspace A enters |1>
+        circuit.extend(map(X, a_reg.ones(1)))  # workspace A enters |1>
     amplify(circuit, dictionary.index, dictionary.circuit, mark, executed)
     return circuit
 

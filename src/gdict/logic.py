@@ -50,13 +50,9 @@ class Cube:
     def covers_array(self, indices: np.ndarray) -> np.ndarray:
         return (indices & self.mask) == self.value
 
-    def intersects(self, other: "Cube") -> bool:
-        both = self.mask & other.mask
-        return (self.value ^ other.value) & both == 0
-
     def subtract(self, other: "Cube") -> list["Cube"]:
         """Disjoint cubes covering exactly self minus other."""
-        if not self.intersects(other):
+        if (self.value ^ other.value) & self.mask & other.mask:  # disjoint
             return [self]
         pieces = []
         cur_mask, cur_value = self.mask, self.value
@@ -104,14 +100,6 @@ class TruthTable:
         self.outputs = np.asarray(self.outputs, dtype=np.uint8)
         if len(self.outputs) != size:
             raise ValueError(f"table outputs must have length {size}")
-
-    @classmethod
-    def from_bits(cls, bits) -> "TruthTable":
-        bits = list(bits)
-        m = max(1, (len(bits) - 1).bit_length())
-        if len(bits) != 1 << m:
-            raise ValueError("bit list length must be a power of two")
-        return cls(m, np.array(bits, dtype=np.uint8))
 
 
 @dataclass

@@ -58,7 +58,10 @@ def resolve_max_qubits(explicit: int | None = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(MAX_QUBITS_ENV)
-    return int(env) if env else DEFAULT_MAX_QUBITS
+    try:
+        return int(env) if env else DEFAULT_MAX_QUBITS
+    except ValueError:
+        raise ValueError(f"{MAX_QUBITS_ENV}={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,9 @@ class Register:
             v |= ((basis_index >> q) & 1) << j
         return v
 
-    def place_value(self, value):
-        """Basis-state bits holding ``value`` on this register, 0 elsewhere;
-        an integer array of values gives the array of their placements."""
-        top = 1 << len(self.qubits)
-        if isinstance(value, np.ndarray):
-            fits = 0 <= value.min() and value.max() < top
-        else:
-            fits = 0 <= value < top
-        if not fits:
+    def place_value(self, value: int) -> int:
+        """Basis-state bits holding ``value`` on this register, 0 elsewhere."""
+        if not 0 <= value < 1 << len(self.qubits):
             raise ValueError(f"value {value} does not fit register {self.name!r}")
         b = 0
         for j, q in enumerate(self.qubits):
@@ -217,10 +214,6 @@ class Circuit:
         for reg in registers.values():
             self.add_register(reg)
 
-    def add(self, *gates: Gate) -> "Circuit":
-        self.gates.extend(gates)
-        return self
-
     def extend(self, gates) -> "Circuit":
         self.gates.extend(gates)
         return self
@@ -281,9 +274,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def new_state(
@@ -516,7 +506,9 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     support's basis indices, which then negates the amplitudes it signs,
     and each H runs on the support's (index, amplitude) pairs.  The support
     comes from ``state.support()``, so a state held as its support is never
-    scanned.  Only H changes the support's size, so only after an H can it
+    scanned, and a dense state's nonzeros are counted before they are
+    gathered, so one past the share allocates only what its dense kernels
+    need.  Only H changes the support's size, so only after an H can it
     outgrow its share.  A state held as its support stays so unless it
     outgrows the share; a dense state is written back in place.  Past the
     share the remaining gates run on the dense kernels.  Every step makes
@@ -531,10 +523,11 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     _check_gates(gates, q)
     limit = int((1 << q) * SUPPORT_MAX_SHARE)
     done = 0
-    start, vals = state.support()
-    if start.size > limit:
+    held = state._support is not None
+    if (state._support[0].size if held else np.count_nonzero(state._amplitudes)) > limit:
         amps = state.amplitudes
     else:
+        start, vals = state.support()
         idx = start
         for stop in [i for i, g in enumerate(gates) if g.kind == "H"] + [len(gates)]:
             if done < stop:
@@ -547,7 +540,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             done += 1
             if idx.size > limit:
                 break
-        if idx.size <= limit and state._support is not None:
+        if idx.size <= limit and held:
             state._support = (idx, vals)
             return state
         amps = state.amplitudes
@@ -559,10 +552,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 
 def marginal_distribution(state: StateVector, register: Register) -> dict[int, float]:
-    """Probability of each register value, summed over the other qubits."""
+    """Probability of each of the 2**len(register) values, zeros included,
+    summed over the other qubits.  It reads the dense amplitudes, so for the
+    whole state's nonzero probabilities ``support()`` is far cheaper."""
     q = state.num_qubits
     _check_qubits(register.qubits, q)
-    probs = state.probabilities().reshape((2,) * q)
+    probs = (np.abs(state.amplitudes) ** 2).reshape((2,) * q)
     axes_keep = [q - 1 - qb for qb in register.qubits]
     drop = tuple(a for a in range(q) if a not in set(axes_keep))
     if drop:
@@ -666,7 +661,7 @@ def circuit_from_text(text: str) -> Circuit:
                 controls = ()
                 if kind in _CONTROLLED:
                     controls = _parse_controls(args.pop(0) if args else "", lineno)
-                circuit.add(Gate(kind, tuple(_parse_qubit(t, lineno) for t in args), controls))
+                circuit.gates.append(Gate(kind, tuple(_parse_qubit(t, lineno) for t in args), controls))
         except ParseError:
             raise
         except ValueError as exc:

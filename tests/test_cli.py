@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +180,7 @@ class TestVerifyArith:
 
         def broken(n, N):
             circuit = build(n, N)
-            return circuit.add(Z(circuit.registers["m"].qubits[0]))
+            return circuit.extend([Z(circuit.registers["m"].qubits[0])])
 
         monkeypatch.setattr(modarith, "modular_adder", broken)
         assert main(["verify-arith", "modadd", "--modulus", "3"]) == 2
@@ -366,6 +367,32 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 1
         assert "bytes of memory are free" in capsys.readouterr().err
         assert main(["simulate", str(path), "--precision", "single"]) == 0
+
+
+    def test_whole_state_is_read_from_its_support(self, tmp_path, capsys):
+        # Without --register the report lists the nonzero probabilities of
+        # all 22 qubits.  A 2**22-entry marginal of them peaked at 509 MB
+        # under tracemalloc; the support of a basis state holds one entry.
+        path = tmp_path / "two.qc"
+        path.write_text("X q0\nX q21\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(path), "--format", "text"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert capsys.readouterr().out == "2097153: 1.000000000\n"
+        out = tmp_path / "dist.json"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        assert read_json(out) == {"register": "all", "distribution": {"2097153": 1.0}}
+
+    def test_bad_qubit_cap_variable_is_named(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "h.qc"
+        path.write_text("H q0\n", encoding="utf-8")
+        monkeypatch.setenv(MAX_QUBITS_ENV, "abc")
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: GDICT_MAX_QUBITS='abc' is not an integer\n"
 
 
 class TestGatecount:

@@ -312,7 +312,7 @@ class TestAttack:
 
         def leave_x_flipped(*args, **kwargs):
             circuit = build(*args, **kwargs)
-            return circuit.add(X(circuit.registers["x"].qubits[0]))
+            return circuit.extend([X(circuit.registers["x"].qubits[0])])
 
         monkeypatch.setattr(dh, "_attack_circuit", leave_x_flipped)
         target = public_value(params, 4)

@@ -283,7 +283,7 @@ class TestRunSearch:
         unmap = grover.inverse
 
         def leave_data_flipped(circuit):
-            return unmap(circuit).add(X(circuit.registers["data"].qubits[0]))
+            return unmap(circuit).extend([X(circuit.registers["data"].qubits[0])])
 
         monkeypatch.setattr(grover, "inverse", leave_data_flipped)
         with pytest.raises(RuntimeError, match="disentangle"):
@@ -300,7 +300,7 @@ class TestRunSearch:
 
         def leave_ancilla_set(circuit, *args):
             iteration = amplify(circuit, *args)
-            circuit.add(X(circuit.registers["ancilla"].qubits[0]))  # undoes the closing X
+            circuit.extend([X(circuit.registers["ancilla"].qubits[0])])  # undoes the closing X
             return iteration
 
         monkeypatch.setattr(grover, "amplify", leave_ancilla_set)
@@ -332,7 +332,7 @@ class TestRunSearch:
 class TestReadIndex:
     def test_clean_run_has_no_residual(self):
         circuit = Circuit(2, registers={"index": Register("index", (0,))})
-        circuit.add(H(0), X(1), X(1))
+        circuit.extend([H(0), X(1), X(1)])
         distribution, top, residual = grover.read_index(circuit, 0, np.complex128, None, "dirty")
         assert distribution == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
         assert top == 0
@@ -340,7 +340,7 @@ class TestReadIndex:
 
     def test_start_pattern_is_where_every_other_qubit_must_end(self):
         circuit = Circuit(3, registers={"index": Register("index", (1,))})
-        circuit.add(H(1), X(2))
+        circuit.extend([H(1), X(2)])
         grover.read_index(circuit, 0b100, np.complex128, None, "dirty")
         with pytest.raises(RuntimeError, match="dirty"):
             grover.read_index(circuit, 0, np.complex128, None, "dirty")
@@ -348,7 +348,7 @@ class TestReadIndex:
     def test_stray_qubit_outside_every_register_raises(self):
         # Qubit 1 belongs to no register, yet it must come back to its start.
         circuit = Circuit(2, registers={"index": Register("index", (0,))})
-        circuit.add(H(0), X(1))
+        circuit.extend([H(0), X(1)])
         with pytest.raises(RuntimeError, match=r"stray \(residual 1\.000e\+00\)"):
             grover.read_index(circuit, 0, np.complex128, None, "stray")
 
@@ -357,7 +357,7 @@ class TestReadIndex:
         # Qubit 14 leaves its start on one index value of 2**14: a weight of
         # 2**-14 leaks, less than rounding costs a long single-precision run.
         circuit = Circuit(15, registers={"index": Register("index", tuple(range(14)))})
-        circuit.add(*(H(q) for q in range(14)), MCX([(q, True) for q in range(14)], 14))
+        circuit.extend([*(H(q) for q in range(14)), MCX([(q, True) for q in range(14)], 14)])
         with pytest.raises(RuntimeError, match="leak"):
             grover.read_index(circuit, 0, dtype, None, "leak")
 

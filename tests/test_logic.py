@@ -112,28 +112,28 @@ class TestPrimeImplicants:
 
 class TestMinimize:
     def test_xor_two_disjoint_cubes(self):
-        table = TruthTable.from_bits([0, 1, 1, 0])
+        table = TruthTable(2, [0, 1, 1, 0])
         cover = minimize(table)
         assert len(cover.cubes) == 2
         assert verify_cover(cover, table)
 
     def test_single_variable(self):
-        cover = minimize(TruthTable.from_bits([0, 0, 1, 1]))
+        cover = minimize(TruthTable(2, [0, 0, 1, 1]))
         assert cover.to_strings() == ["1-"]
 
     def test_all_zeros(self):
-        cover = minimize(TruthTable.from_bits([0, 0, 0, 0]))
+        cover = minimize(TruthTable(2, [0, 0, 0, 0]))
         assert cover.cubes == ()
 
     def test_all_ones(self):
-        cover = minimize(TruthTable.from_bits([1, 1, 1, 1]))
+        cover = minimize(TruthTable(2, [1, 1, 1, 1]))
         assert cover.to_strings() == ["--"]
 
     def test_or_splits_into_two(self):
-        cover = minimize(TruthTable.from_bits([0, 1, 1, 1]))
+        cover = minimize(TruthTable(2, [0, 1, 1, 1]))
         assert len(cover.cubes) == 2
         assert xor_of_cubes(cover) == [0, 1, 1, 1]
-        assert verify_cover(cover, TruthTable.from_bits([0, 1, 1, 1]))
+        assert verify_cover(cover, TruthTable(2, [0, 1, 1, 1]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -187,7 +187,7 @@ class TestMinimize:
 
 class TestVerifyCover:
     def test_examples(self):
-        xor_table = TruthTable.from_bits([0, 1, 1, 0])
+        xor_table = TruthTable(2, [0, 1, 1, 0])
         xor_cover = Cover(2, (Cube.from_string("01"), Cube.from_string("10")))
         assert verify_cover(xor_cover, xor_table)
         assert not verify_cover(Cover(2, ()), xor_table)
@@ -245,7 +245,7 @@ def simulate_cover_outputs(cover: Cover, m: int) -> list[int]:
 
 class TestGateNetworkEquivalence:
     def test_xor_network(self):
-        cover = minimize(TruthTable.from_bits([0, 1, 1, 0]))
+        cover = minimize(TruthTable(2, [0, 1, 1, 0]))
         assert simulate_cover_outputs(cover, 2) == [0, 1, 1, 0]
 
     def test_random_tables_exhaustive(self):
