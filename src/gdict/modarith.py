@@ -267,8 +267,10 @@ def _run_basis(circuit: Circuit, basis: int) -> int:
     """The basis index ``circuit`` takes |basis> to.  The state is read as
     its support, which for these X/MCX/SWAP circuits stays one pair, so past
     3 qubits (where SUPPORT_MAX_SHARE leaves room for one) no case
-    allocates its 2**q amplitudes.  Anything but exactly one nonzero
-    amplitude, equal to 1.0, raises RuntimeError naming the largest."""
+    allocates its 2**q amplitudes, and ``apply_circuit`` walks its one
+    index through the H-free circuit as a Python int, checking each gate
+    as it reaches it.  Anything but exactly one nonzero amplitude, equal
+    to 1.0, raises RuntimeError naming the largest."""
     state = new_state(circuit.num_qubits, basis)
     apply_circuit(state, circuit)
     idx, vals = state.support()

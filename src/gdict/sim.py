@@ -7,15 +7,17 @@ support, the (basis index, amplitude) pairs; a fresh basis state from
 writes the array never meets a stale support.  A gate's plan
 (``Gate.plan``) is an op with the bit masks of its controls, their pattern
 and its targets, computed on first use and kept on the gate, which the
-dense kernels read; ``evaluate_classical`` reads the controls and targets.
-``apply_circuit`` checks every gate's qubit mask against the state before
-it changes the state, then runs gates on the support while it holds at
-most SUPPORT_MAX_SHARE of the amplitudes: each run of gates without H is
-bit-sliced over the support's indices by ``evaluate_classical``, and each H
-pairs amplitudes in the support's H kernel.  Past that share the state
-becomes dense and the remaining gates run on the dense kernels that
-``apply_gate`` uses.  Every path is plain numpy and computes the same
-amplitudes bit for bit.
+dense kernels and the one-index walk read; ``evaluate_classical`` reads
+the controls and targets.  ``apply_circuit`` checks every gate's qubit
+mask against the state before it changes the state, and runs gates on
+the support while it holds at most SUPPORT_MAX_SHARE of the amplitudes: a
+support of one basis index is walked through the gates before the first
+H as one Python int; past that, or from a larger support, each run of
+gates without H is bit-sliced over the support's indices by
+``evaluate_classical``, and each H pairs amplitudes in the support's H
+kernel.  Past that share the state becomes dense and the remaining gates
+run on the dense kernels that ``apply_gate`` uses.  Every path is plain
+numpy or Python and computes the same amplitudes bit for bit.
 
 Conventions used throughout the package:
 
@@ -496,40 +498,74 @@ def _apply_gate_support(idx: np.ndarray, vals: np.ndarray, gate: Gate):
     return idx[keep], vals[keep]
 
 
+def _walk(gates, num_qubits: int, index: int) -> tuple[int, bool, int]:
+    # One basis index through the gates before the first H, by their plans,
+    # each gate's qubit mask checked as the walk reaches it; returns the
+    # index it ends in, True where Z and MCZ left it with sign -1, and the
+    # position of the first H (len(gates) if there is none).
+    negative = False
+    for at, gate in enumerate(gates):
+        op, mask, want, bits = gate.plan
+        if (mask | bits) >> num_qubits:
+            _check_gates((gate,), num_qubits)
+        if op == "flip":
+            if index & mask == want:
+                index ^= bits
+        elif op == "negate":
+            if index & mask == want:
+                negative = not negative
+        elif op == "SWAP":
+            if 0 != index & bits != bits:  # the two bits differ
+                index ^= bits
+        else:  # H
+            return index, negative, at
+    return index, negative, len(gates)
+
+
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply all gates in order; requires circuit fits inside the state.
 
     Every gate's qubits are checked before the state changes, so a bad gate
     raises ValueError with the state untouched.  While the state's nonzero
-    support holds at most SUPPORT_MAX_SHARE of the 2**q amplitudes, each
-    maximal run of gates without H is one ``evaluate_classical`` call on the
-    support's basis indices, which then negates the amplitudes it signs,
-    and each H runs on the support's (index, amplitude) pairs.  The support
-    comes from ``state.support()``, so a state held as its support is never
-    scanned, and a dense state's nonzeros are counted before they are
-    gathered, so one past the share allocates only what its dense kernels
-    need.  Only H changes the support's size, so only after an H can it
-    outgrow its share.  A state held as its support stays so unless it
-    outgrows the share; a dense state is written back in place.  Past the
-    share the remaining gates run on the dense kernels.  Every step makes
-    new arrays, so none returned by ``support()`` changes.  Permutations
-    and signs are exact and H pairs amplitudes whatever their order, so
-    every path computes the same amplitudes bit for bit.
+    support holds at most SUPPORT_MAX_SHARE of the 2**q amplitudes, a
+    support of one basis index is walked through the gates before the first
+    H as one Python int, each gate checked as the walk reaches it; the gates
+    left are checked before anything is written.  Past that prefix, or from
+    a larger support, each maximal run of gates without H is one
+    ``evaluate_classical`` call on the support's basis indices, which then
+    negates the amplitudes it signs, and each H runs on the support's
+    (index, amplitude) pairs.  The support comes from ``state.support()``,
+    so a state held as its support is never scanned, and a dense state's
+    nonzeros are counted before they are gathered, so one past the share
+    allocates only what its dense kernels need.  Only H changes the
+    support's size, so only after an H can it outgrow its share.  A state
+    held as its support stays so unless it outgrows the share; a dense
+    state is written back in place.  Past the share the remaining gates run
+    on the dense kernels.  Every step makes new arrays, so none returned by
+    ``support()`` changes.  Permutations and signs are exact and H pairs
+    amplitudes whatever their order, so every path computes the same
+    amplitudes bit for bit.
     """
     q = state.num_qubits
     if circuit.num_qubits > q:
         raise ValueError(f"circuit needs {circuit.num_qubits} qubits, state has {q}")
     gates = circuit.gates
-    _check_gates(gates, q)
     limit = int((1 << q) * SUPPORT_MAX_SHARE)
     done = 0
     held = state._support is not None
     if (state._support[0].size if held else np.count_nonzero(state._amplitudes)) > limit:
+        _check_gates(gates, q)
         amps = state.amplitudes
     else:
         start, vals = state.support()
         idx = start
-        for stop in [i for i, g in enumerate(gates) if g.kind == "H"] + [len(gates)]:
+        if start.size == 1 and q <= MAX_BASIS_QUBITS:  # past it, refused below
+            index, negative, done = _walk(gates, q, int(start[0]))
+            idx = np.array([index], dtype=np.int64)
+            vals = -vals if negative else vals
+        rest = gates[done:]
+        _check_gates(rest, q)
+        for stop in [i for i, g in enumerate(rest, done) if g.kind == "H"] + [len(gates)]:
             if done < stop:
                 idx, negative = evaluate_classical(gates[done:stop], q, idx)
                 vals = np.where(negative, -vals, vals)

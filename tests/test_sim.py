@@ -448,6 +448,59 @@ def test_support_state_equals_dense_run_and_per_gate_loop(case):
     assert np.array_equal(vals[order], got.amplitudes[scan])
 
 
+@st.composite
+def walked_circuits(draw):
+    # A basis state on 4 to 14 qubits and a circuit whose H-free prefix
+    # mixes X, MCX, SWAP, Z and MCZ, then optionally an H and more gates.
+    # Half the controlled gates are drawn to fire on the index the prefix
+    # has reached (so negative controls fire too), and each SWAP exchanges
+    # two bits that are equal or differ there; the index is followed by
+    # ``evaluate_classical``, the bit-sliced path.
+    q = draw(st.integers(4, 14))
+    basis = index = draw(st.integers(0, (1 << q) - 1))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["X", "MCX", "SWAP", "Z", "MCZ"]))
+        qubits = draw(st.permutations(range(q)))
+        if kind in ("X", "Z"):
+            gate = Gate(kind, (qubits[0],))
+        elif kind == "SWAP":
+            equal = draw(st.booleans())
+            a = qubits[0]
+            b = next((k for k in qubits[1:] if (index >> k & 1 == index >> a & 1) == equal),
+                     qubits[1])
+            gate = SWAP(a, b)
+        else:
+            n = draw(st.integers(1 if kind == "MCZ" else 0, q - (kind == "MCX")))
+            fire = draw(st.booleans())
+            controls = [(c, bool(index >> c & 1) if fire else draw(st.booleans()))
+                        for c in qubits[:n]]
+            gate = MCX(controls, qubits[n]) if kind == "MCX" else MCZ(controls)
+        gates.append(gate)
+        index = int(sim.evaluate_classical([gate], q, np.array([index]))[0][0])
+    if draw(st.booleans()):
+        gates.append(H(draw(st.integers(0, q - 1))))
+        gates += draw(st.lists(gates_on(q), max_size=10))
+    return Circuit(q, gates), basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(walked_circuits(), st.booleans(), st.sampled_from([np.complex128, np.complex64]))
+def test_walked_basis_state_equals_per_gate_loop(case, dense_first, dtype):
+    # A basis state held as its support, or made dense first as a traced
+    # benchmark run makes it, walks the H-free prefix one index at a time.
+    circuit, basis = case
+    q = circuit.num_qubits
+    state = new_state(q, basis, dtype=dtype)
+    if dense_first:
+        state.amplitudes
+    apply_circuit(state, circuit)
+    ref = new_state(q, basis, dtype=dtype)
+    for g in circuit.gates:
+        apply_gate(ref, g)
+    assert np.array_equal(state.amplitudes, ref.amplitudes)
+
+
 class TestSupportState:
     def test_written_amplitudes_are_what_apply_circuit_acts_on(self):
         v = np.arange(1, 9) / np.linalg.norm(np.arange(1, 9)) * (1 - 1j)
@@ -483,6 +536,37 @@ class TestSupportState:
             apply_circuit(s, Circuit(6, [X(1), H(2), CNOT(0, 6)]))
         assert np.array_equal(s.support()[0], idx)
         assert np.array_equal(s.support()[1], vals)
+
+    @pytest.mark.parametrize("gates, message", [
+        # inside the walked prefix: the first bad gate is named, by its
+        # highest qubit
+        ([X(1), SWAP(0, 2), MCX([(7, True), (0, False)], 9), Z(3), H(2), CNOT(0, 8)],
+         "qubit 9 out of range for 6-qubit state"),
+        # as the first H
+        ([X(1), MCZ([(0, False)]), H(6), CNOT(7, 0)], "qubit 6 out of range for 6-qubit state"),
+        # after the first H
+        ([X(1), Z(0), H(2), X(3), CNOT(0, 7), X(8)], "qubit 7 out of range for 6-qubit state"),
+    ])
+    @pytest.mark.parametrize("dense_first", [False, True])
+    def test_bad_gate_leaves_basis_state_unchanged(self, gates, message, dense_first):
+        s = new_state(6, 0b101101)
+        if dense_first:
+            s.amplitudes
+        idx, vals = (a.copy() for a in s.support())
+        with pytest.raises(ValueError) as err:
+            apply_circuit(s, Circuit(6, gates))
+        assert str(err.value) == message
+        assert np.array_equal(s.support()[0], idx)
+        assert np.array_equal(s.support()[1], vals)
+        assert np.array_equal(s.amplitudes, new_state(6, 0b101101).amplitudes)
+
+    def test_basis_state_past_an_int64_index_is_refused(self):
+        # Only the public constructor makes such a state; ``new_state``
+        # refuses it for memory first.
+        s = sim.StateVector(70, support=(np.array([0]), np.ones(1, dtype=np.complex128)))
+        with pytest.raises(ValueError, match="70 qubits exceed the 62"):
+            apply_circuit(s, Circuit(70, [X(5)]))
+        assert s.support()[0].tolist() == [0]
 
     def test_dense_state_past_the_share_is_counted_not_gathered(self):
         # Every amplitude is nonzero, so the gate runs dense.  Gathering the
