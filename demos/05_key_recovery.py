@@ -30,7 +30,7 @@ print(f"protocol: p={params.p} g={params.g}; Alice sends A={A}, Bob sends B={B},
 
 # The eavesdropper targets Alice's public value.
 candidates = generate_candidates(params, A, count=4, seed=1)
-print(f"candidate exponents from preprocessing: {candidates.candidates}")
+print(f"candidate exponents from preprocessing: {candidates}")
 
 result = run_attack(params, A, candidates, CIRCUIT_ORACLE)
 print(f"\ncircuit-oracle attack: recovered a={result.recovered_secret} "

@@ -69,7 +69,6 @@ from .modarith import (
 )
 from .dh import (
     AttackResult,
-    CandidateSet,
     DHParams,
     build_attack_circuit,
     discrete_log,

@@ -2,9 +2,12 @@
 
 Preprocessing (the number-field-sieve stage of a real attack) is replaced by
 a candidate generator that solves the discrete log classically
-(Pohlig-Hellman, cheap here because p-1 is smooth): it returns a list of
+(Pohlig-Hellman, cheap here because p-1 is smooth): it returns a tuple of
 exponents guaranteed to contain a discrete log of the target public value.
-The quantum stage then searches that list.  Two oracle realizations exist:
+The quantum stage takes any sequence of exponents in [0, p), writes them as
+p.bit_length()-wide records and compiles those into its index-to-record
+map, so the search runs over the candidates themselves.  Two oracle
+realizations exist:
 
 * ``circuit_oracle`` runs the full construction: map index to candidate
   exponent, run modular exponentiation in-circuit, phase-flip on the public
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import MAX_RECORDS, Database, build_dictionary
 from .errors import UnsupportedModulusError
-from .grover import GroverPlan, amplify, plan_search, read_index
+from .grover import GroverPlan, amplify, check_block, plan_search, read_index
 from .modarith import is_supported_modulus, modexp_circuit
 from .sim import MAX_BASIS_QUBITS, Circuit, MCZ, Register, X, check_state, gate_count
 # grover.read_index simulates; perfbench/tracing.py still patches these names here.
@@ -35,6 +39,7 @@ from .sim import apply_circuit, marginal_distribution, new_state  # noqa: F401
 CIRCUIT_ORACLE = "circuit_oracle"
 PRECOMPUTED_ORACLE = "precomputed_oracle"
 ATTACK_MODES = (CIRCUIT_ORACLE, PRECOMPUTED_ORACLE)
+_UNCOMPUTE_FAILURE = "workspaces failed to uncompute"
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -161,30 +166,15 @@ def discrete_log(params: DHParams, target_public: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Distinct candidate exponents plus their fixed-width database encoding."""
-
-    candidates: tuple[int, ...]
-    database: Database
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
-def encode_candidates(params: DHParams, candidates) -> CandidateSet:
-    width = params.exponent_bits
-    records = tuple(format(c, f"0{width}b") for c in candidates)
-    return CandidateSet(tuple(candidates), Database(records))
-
-
-def generate_candidates(params: DHParams, target_public: int, count: int, seed: int) -> CandidateSet:
-    """``count`` distinct exponents, one of which solves g**x = target_public.
+def generate_candidates(params: DHParams, target_public: int, count: int,
+                        seed: int) -> tuple[int, ...]:
+    """``count`` distinct candidate exponents, one of which solves
+    g**x = target_public: what the preprocessing stage hands the search.
 
     The remainder are drawn uniformly from [0, p-2] with the given seed, and
-    the list is shuffled so the winner's position carries no information.
-    Exponents stay below p-1 so exactly one candidate can win, and no
-    database holds more than MAX_RECORDS of them.
+    the tuple is shuffled so the winner's position carries no information.
+    Exponents stay below p-1 so exactly one candidate can win, and there are
+    at most MAX_RECORDS of them, the most one database holds.
     """
     top = min(params.p - 1, MAX_RECORDS)
     if not 1 <= count <= top:
@@ -197,18 +187,22 @@ def generate_candidates(params: DHParams, target_public: int, count: int, seed: 
     chosen = [x + (x >= secret) for x in rng.sample(range(params.p - 2), count - 1)]
     chosen.append(secret)
     rng.shuffle(chosen)
-    return encode_candidates(params, chosen)
+    return tuple(chosen)
 
 
-def _plan_attack(params: DHParams, target_public: int, candidates: CandidateSet, mode: str,
+def _plan_attack(params: DHParams, target_public: int, candidates: Sequence[int], mode: str,
                  rounds: int | None) -> tuple[Database, list[int], GroverPlan, int]:
-    # Refuses a bad mode or target, then plans; the winners' g**x hits the target.
+    # Refuses a bad mode, target or candidate, then plans over the candidates
+    # written as exponent_bits-wide records; the winners' g**x hits the target.
     if mode not in ATTACK_MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
     if not 1 <= target_public < params.p:
         raise ValueError(f"target {target_public} is not in the group")
-    return plan_search(candidates.database,
-                       lambda x: pow(params.g, x, params.p) == target_public,
+    for c in candidates:
+        if not 0 <= c < params.p:
+            raise ValueError(f"candidate exponent {c} out of range [0, {params.p})")
+    records = tuple(format(c, f"0{params.exponent_bits}b") for c in candidates)
+    return plan_search(Database(records), lambda x: pow(params.g, x, params.p) == target_public,
                        rounds, "no candidate exponent produces the target public value")
 
 
@@ -218,6 +212,7 @@ def _attack_circuit(params: DHParams, target_public: int, mode: str, padded: Dat
     # Built before the dictionary, so a modulus too wide fails before synthesis.
     exp = modexp_circuit(params.g, params.p, n, base=m) if mode == CIRCUIT_ORACLE else None
     dictionary = build_dictionary(padded)
+    start = 0
     if mode == PRECOMPUTED_ORACLE:
         x_reg = Register("x", tuple(range(m, m + n)))
         circuit = Circuit(m + n, registers={"index": dictionary.index, "x": x_reg})
@@ -229,14 +224,16 @@ def _attack_circuit(params: DHParams, target_public: int, mode: str, padded: Dat
         a_reg = exp.registers["A"]
         mark = exp.gates + [MCZ(a_reg.controls(target_public))] + exp.gates[::-1]
         circuit.extend(map(X, a_reg.ones(1)))  # workspace A enters |1>
-    amplify(circuit, dictionary.index, dictionary.circuit, mark, executed)
+        start = a_reg.place_value(1)
+    iteration = amplify(circuit, dictionary.index, dictionary.circuit, mark, executed)
+    check_block(iteration, dictionary.index, start, winners, _UNCOMPUTE_FAILURE)
     return circuit
 
 
 def build_attack_circuit(
     params: DHParams,
     target_public: int,
-    candidates: CandidateSet,
+    candidates: Sequence[int],
     mode: str = CIRCUIT_ORACLE,
     rounds: int | None = None,
 ) -> Circuit:
@@ -247,7 +244,11 @@ def build_attack_circuit(
     ``grover.amplify`` does for a database search.  In circuit mode the
     marking runs modular exponentiation forward, phases on the output
     workspace, and uncomputes; in precomputed mode it phases the exponent
-    register directly on the classically known winners.
+    register directly on the classically known winners.  ``candidates`` are
+    exponents in [0, p); one outside raises ValueError.  Before it returns,
+    ``grover.check_block`` proves one round on every index, so a round that
+    leaves a workspace dirty or marks other indices than the winners raises
+    RuntimeError.
     """
     padded, winners, _, executed = _plan_attack(params, target_public, candidates, mode, rounds)
     return _attack_circuit(params, target_public, mode, padded, winners, executed)
@@ -272,7 +273,7 @@ class AttackResult:
 def run_attack(
     params: DHParams,
     target_public: int,
-    candidates: CandidateSet,
+    candidates: Sequence[int],
     mode: str = CIRCUIT_ORACLE,
     rounds: int | None = None,
     *,
@@ -283,8 +284,9 @@ def run_attack(
 
     The recovered secret is the candidate at the most probable index.  Every
     qubit outside the index register must return to its start: workspace A
-    to 1 in circuit mode, all else to 0.  Any nonzero amplitude left off that
-    pattern (a broken uncomputation) raises RuntimeError, as in
+    to 1 in circuit mode, all else to 0.  One round that fails
+    ``check_block``, or any nonzero amplitude left off that pattern after
+    the simulation (a broken uncomputation), raises RuntimeError, as in
     ``run_search``; the result reports 1 minus the index weight as the
     residual, which decides nothing.
     """
@@ -295,7 +297,7 @@ def run_attack(
     # Every qubit outside the index returns to 0, but for workspace A's 1.
     start = circuit.registers["A"].place_value(1) if mode == CIRCUIT_ORACLE else 0
     distribution, top_index, residual = read_index(
-        circuit, start, dtype, max_qubits, "workspaces failed to uncompute")
+        circuit, start, dtype, max_qubits, _UNCOMPUTE_FAILURE)
     return AttackResult(
         recovered_secret=int(padded.records[top_index], 2),
         success_probability=float(sum(distribution[i] for i in winners)),
@@ -305,7 +307,7 @@ def run_attack(
         plan=plan,
         mode=mode,
         rounds_executed=executed,
-        candidates=candidates.candidates,
+        candidates=tuple(candidates),
         winner_indices=tuple(winners),
         target_public=target_public,
         workspace_residual=residual,

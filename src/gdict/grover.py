@@ -5,9 +5,10 @@ states satisfying the clause, unmaps (disentangling the data register), and
 reflects the index register about the uniform superposition.  A database
 search and the key-recovery attack in ``gdict.dh`` share every step but the
 marking: ``plan_search`` pads the database, finds its winners and plans the
-rounds, ``amplify`` assembles the loop, and ``read_index`` simulates it,
-checks that every qubit outside the index came back to its start and reads
-the index register.  The winner count is known classically (synthesis
+rounds, ``amplify`` assembles the loop, ``check_block`` proves one round
+exact on every index, and ``read_index`` simulates the loop, checks that
+every qubit outside the index came back to its start and reads the index
+register.  The winner count is known classically (synthesis
 reads every record anyway), so the round count and success probability
 follow in closed form (Boyer, Brassard, Høyer and Tapp, "Tight bounds on
 quantum searching", 1998):
@@ -38,6 +39,7 @@ from .sim import (
     X,
     apply_circuit,
     check_state,
+    evaluate_classical,
     gate_count,
     inverse,
     new_state,
@@ -226,6 +228,45 @@ def amplify(circuit: Circuit, index: Register, dictionary: Circuit, mark: list[G
     return iteration
 
 
+def check_block(iteration: Circuit, index: Register, start: int, winners: list[int],
+                failure: str, kickback: int = 0) -> None:
+    """Prove one round's block, "map, mark, unmap", on every index at once.
+
+    The block is the gates of ``iteration``, the round ``amplify`` returned,
+    before its first H.  Before every block the state lies on the 2**m basis
+    states ``index value | start``; the block runs once on all of them with
+    ``evaluate_classical``.  Each must come back to itself but for the
+    ``kickback`` bits (the kickback ancilla's, 0 in ``start``), and the
+    indices it marks, left with sign -1 or with those bits flipped, must be
+    exactly ``winners``.  Otherwise RuntimeError gives the ``failure``
+    message, the first bad index and the verdict it fails.  An empty round
+    (0 rounds) checks nothing.
+    """
+    gates = iteration.gates
+    if not gates:
+        return
+    block = gates[:next((at for at, g in enumerate(gates) if g.kind == "H"), len(gates))]
+    inputs = np.array([start], dtype=np.int64)
+    for j in range(len(index)):  # inputs[i] is index.place_value(i) | start
+        inputs = np.concatenate((inputs, inputs | index.place_value(1 << j)))
+    outputs, negative = evaluate_classical(block, iteration.num_qubits, inputs)
+    changed = outputs ^ inputs
+    marked = negative ^ (changed != 0)
+    wins = np.zeros(inputs.size, dtype=bool)
+    wins[winners] = True
+    dirty = (changed & ~kickback) != 0
+    bad = np.flatnonzero(dirty | (marked != wins))
+    if bad.size:
+        i = int(bad[0])
+        if dirty[i]:
+            verdict = "does not come back to its start"
+        elif wins[i]:
+            verdict = "is a winner the round does not mark"
+        else:
+            verdict = "is marked but is not a winner"
+        raise RuntimeError(f"{failure}: index {i} {verdict}")
+
+
 def read_index(circuit: Circuit, start: int, dtype, max_qubits: int | None,
                failure: str) -> tuple[dict[int, float], int, float]:
     """Simulate ``circuit`` from |0> and read its "index" register.
@@ -265,10 +306,12 @@ def run_search(
     """Plan and simulate a full dictionary search.
 
     The winner count for planning comes from a classical scan of the padded
-    records.  The index register ends up measured as a marginal
-    distribution; every other qubit (the data register and, in
-    ancilla-kickback mode, the ancilla) is checked to have returned to |0>
-    so the diffuser acted on an unentangled index register every round.
+    records.  Before the simulation, ``check_block`` proves that one round
+    marks exactly those winners and leaves the data register clean on every
+    index.  The index register ends up measured as a marginal distribution;
+    every other qubit (the data register and, in ancilla-kickback mode, the
+    ancilla) is checked to have returned to |0> so the diffuser acted on an
+    unentangled index register every round.
     """
     if oracle_mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {oracle_mode!r}")
@@ -299,8 +342,9 @@ def run_search(
     # and has no oracle, so the oracle is built only for rounds that run.
     mark = phase_oracle(clause, data_reg, oracle_mode, ancilla).gates if executed else []
     iteration = amplify(full, index_reg, dictionary.circuit, mark, executed, prepare)
-    distribution, top_index, _ = read_index(
-        full, 0, dtype, max_qubits, "data register failed to disentangle")
+    failure = "data register failed to disentangle"
+    check_block(iteration, index_reg, 0, winners, failure, 1 << ancilla if kickback else 0)
+    distribution, top_index, _ = read_index(full, 0, dtype, max_qubits, failure)
     return SearchResult(
         distribution=distribution,
         top_index=top_index,

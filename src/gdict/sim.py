@@ -539,12 +539,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     nonzeros are counted before they are gathered, so one past the share
     allocates only what its dense kernels need.  Only H changes the
     support's size, so only after an H can it outgrow its share.  A state
-    held as its support stays so unless it outgrows the share; a dense
-    state is written back in place.  Past the share the remaining gates run
-    on the dense kernels.  Every step makes new arrays, so none returned by
-    ``support()`` changes.  Permutations and signs are exact and H pairs
-    amplitudes whatever their order, so every path computes the same
-    amplitudes bit for bit.
+    held as its support stays so once every gate has run on the support
+    within the share; a dense state is written back in place.  Past the
+    share the remaining gates run on the dense kernels.  Every step makes
+    new arrays, so none returned by ``support()`` changes.  Permutations
+    and signs are exact and H pairs amplitudes whatever their order, so
+    every path computes the same amplitudes bit for bit.
     """
     q = state.num_qubits
     if circuit.num_qubits > q:
@@ -576,7 +576,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             done += 1
             if idx.size > limit:
                 break
-        if idx.size <= limit and held:
+        if done == len(gates) and idx.size <= limit and held:
             state._support = (idx, vals)
             return state
         amps = state.amplitudes

@@ -11,11 +11,9 @@ from gdict.dh import (
     CIRCUIT_ORACLE,
     MAX_MODULUS_BITS,
     PRECOMPUTED_ORACLE,
-    CandidateSet,
     DHParams,
     build_attack_circuit,
     discrete_log,
-    encode_candidates,
     generate_candidates,
     public_value,
     run_attack,
@@ -160,18 +158,17 @@ def list_candidates(p: int, secret: int, count: int, seed: int) -> tuple[int, ..
 class TestCandidates:
     def test_contains_true_dlog(self, params):
         cands = generate_candidates(params, 4, 4, seed=1)
-        assert 4 in cands.candidates  # dlog of 4 is 4 (3**4 = 81 = 4 mod 7)
-        assert len(set(cands.candidates)) == 4
-        assert cands.database.n == 3
+        assert type(cands) is tuple
+        assert 4 in cands  # dlog of 4 is 4 (3**4 = 81 = 4 mod 7)
+        assert len(set(cands)) == 4
 
     def test_count_one_is_exactly_the_secret(self, params):
-        cands = generate_candidates(params, 4, 1, seed=0)
-        assert cands.candidates == (4,)
+        assert generate_candidates(params, 4, 1, seed=0) == (4,)
 
     def test_deterministic(self, params):
         a = generate_candidates(params, 5, 4, seed=9)
         b = generate_candidates(params, 5, 4, seed=9)
-        assert a.candidates == b.candidates
+        assert a == b
 
     def test_count_bounds(self, params):
         with pytest.raises(ValueError):
@@ -183,7 +180,7 @@ class TestCandidates:
     def test_exponents_stay_below_group_order(self, params):
         for seed in range(5):
             cands = generate_candidates(params, 3, 6, seed=seed)
-            assert all(0 <= c <= 5 for c in cands.candidates)
+            assert all(0 <= c <= 5 for c in cands)
 
     def test_same_draws_as_list_reference(self):
         for p, g in ((7, 3), (31, 3), (127, 3), (8191, 17)):
@@ -193,7 +190,7 @@ class TestCandidates:
                 target = public_value(params, secret)
                 for count in sorted(counts):
                     for seed in (0, 1, 12345):
-                        got = generate_candidates(params, target, count, seed).candidates
+                        got = generate_candidates(params, target, count, seed)
                         assert got == list_candidates(p, secret, count, seed), (p, secret, count, seed)
 
     def test_memory_independent_of_modulus(self):
@@ -245,11 +242,21 @@ class TestAttack:
         assert result.recovered_secret == 11
 
     def test_no_winner_raises_before_simulation(self, params):
-        cands = encode_candidates(params, [0, 1, 2, 3])  # dlog of 4 is 4: absent
+        cands = [0, 1, 2, 3]  # dlog of 4 is 4: absent
         with pytest.raises(NoWinnerError):
             build_attack_circuit(params, 4, cands, PRECOMPUTED_ORACLE)
         with pytest.raises(NoWinnerError):
             run_attack(params, 4, cands, PRECOMPUTED_ORACLE)
+
+    @pytest.mark.parametrize("cands, bad", [([-1, 2], -1), ([8, 9], 8)],
+                             ids=["negative", "past-p"])
+    def test_out_of_range_candidate_refused(self, params, cands, bad):
+        # 3**2 = 3**8 = 2 mod 7: an exponent past p must not be searched as
+        # a wider record and "recovered".
+        for attack in (build_attack_circuit, run_attack):
+            with pytest.raises(ValueError) as caught:
+                attack(params, 2, cands, PRECOMPUTED_ORACLE)
+            assert str(caught.value) == f"candidate exponent {bad} out of range [0, 7)"
 
     def test_invalid_mode(self, params):
         cands = generate_candidates(params, 4, 2, seed=0)
@@ -304,7 +311,7 @@ class TestAttack:
         cands = generate_candidates(params, target, 4, seed=1)
         result = run_attack(params, target, cands, PRECOMPUTED_ORACLE, rounds=0)
         assert all(p == pytest.approx(0.25, abs=1e-12) for p in result.distribution.values())
-        assert result.recovered_secret == cands.candidates[0]  # an exact tie reads index 0
+        assert result.recovered_secret == cands[0]  # an exact tie reads index 0
 
     def test_broken_uncomputation_raises(self, params, monkeypatch, capsys):
         # A workspace qubit left flipped must fail the attack, not report a key.
@@ -328,7 +335,7 @@ class TestAttack:
         # holds one losing candidate leaves x dirty on that one branch only.
         target = public_value(params, 4)
         cands = generate_candidates(params, target, 4, seed=1)
-        loser = next(i for i, c in enumerate(cands.candidates) if c != 4)
+        loser = next(i for i, c in enumerate(cands) if c != 4)
         amplify = dh.amplify
 
         def dirty_on_loser(circuit, index, dictionary, mark, *args):
@@ -342,6 +349,28 @@ class TestAttack:
                      "--count", "4", "--seed", "1", "--mode", "precomputed"]) == 2
         assert "failed to uncompute" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, verdict", [
+        (["--p", "31", "--g", "3", "--secret", "11", "--count", "8", "--mode", "precomputed"],
+         "index 7 is a winner the round does not mark"),
+        (["--p", "7", "--g", "3", "--secret", "4", "--count", "4", "--mode", "circuit"],
+         "index 1 is marked but is not a winner"),
+    ], ids=["precomputed-31", "circuit-7"])
+    def test_mark_on_a_wrong_pattern_exits_2(self, monkeypatch, capsys, argv, verdict):
+        # Every MCZ the attack builds fires with its first control inverted,
+        # so it marks another exponent or workspace value than the target's.
+        # Every workspace still comes back clean on every branch, so only
+        # the block check can tell the reported key is wrong.
+        mcz = dh.MCZ
+
+        def first_control_inverted(controls):
+            (qubit, positive), *rest = controls
+            return mcz([(qubit, not positive), *rest])
+
+        monkeypatch.setattr(dh, "MCZ", first_control_inverted)
+        assert main(["dh-attack", *argv]) == 2
+        assert capsys.readouterr().err == ("verification failure: workspaces failed to "
+                                           f"uncompute: {verdict}\n")
+
     def test_single_precision_circuit_mode(self, params):
         target = public_value(params, 5)
         cands = generate_candidates(params, target, 4, seed=4)
@@ -351,7 +380,10 @@ class TestAttack:
 
 
 def test_candidate_encoding_width():
+    # Exponents mod 31 are 5-bit records read MSB first: 30 = 11110 is no
+    # palindrome, and 3**30 = 1 mod 31 has no other solution among these.
     big = DHParams(31, 3)
-    cands = encode_candidates(big, [0, 30, 17])
-    assert cands.database.n == 5
-    assert cands.database.records == ("00000", "11110", "10001")
+    cands = [17, 30, 5]
+    circuit = build_attack_circuit(big, 1, cands, PRECOMPUTED_ORACLE)
+    assert len(circuit.registers["x"]) == 5
+    assert run_attack(big, 1, cands, PRECOMPUTED_ORACLE).recovered_secret == 30

@@ -522,6 +522,18 @@ class TestSupportState:
         assert amps[11] == amps[27] * -1 == INV_SQRT2
         assert np.count_nonzero(amps) == 2
 
+    def test_support_filling_its_share_still_runs_every_gate(self):
+        # Eight qubits share at most 16 amplitudes: four H on fresh qubits
+        # fill the share exactly, and the X after them must still run
+        # before the state is kept as its support.
+        assert int(2**8 * sim.SUPPORT_MAX_SHARE) == 16
+        circuit = Circuit(8, [H(q) for q in range(4)] + [X(6)])
+        state = apply_circuit(new_state(8, 0b10100000), circuit)
+        ref = new_state(8, 0b10100000)
+        for g in circuit.gates:
+            apply_gate(ref, g)
+        assert np.array_equal(state.amplitudes, ref.amplitudes)
+
     def test_returned_support_never_changes(self):
         s = new_state(6, 9)
         idx, vals = s.support()
