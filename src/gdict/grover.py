@@ -8,10 +8,10 @@ marking: ``plan_search`` pads the database, finds its winners and plans the
 rounds, ``amplify`` assembles the loop, ``check_block`` proves one round
 exact on every index, and ``read_index`` simulates the loop, checks that
 every qubit outside the index came back to its start and reads the index
-register.  The winner count is known classically (synthesis
-reads every record anyway), so the round count and success probability
-follow in closed form (Boyer, Brassard, Høyer and Tapp, "Tight bounds on
-quantum searching", 1998):
+register.  The winner count is known classically (synthesis reads every
+record anyway), so the round count and success probability follow in
+closed form (Boyer, Brassard, Høyer and Tapp, "Tight bounds on quantum
+searching", 1998):
 
     theta0 = arcsin(sqrt(M / N))
     p(R)   = sin((2R + 1) * theta0) ** 2
